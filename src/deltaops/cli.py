@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .checks import CHECKS, Report, run_check, run_suite
-from .config import Config
+from .config import CAP_FIELDS, Config
 from .macdonald import MacdonaldCache, MacdonaldError
 
 USAGE_ERROR = 2
@@ -28,10 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run one named check (repeatable); default: whole suite")
     parser.add_argument("--profile", choices=("quick", "full"), default="quick")
     parser.add_argument("--n-max", type=int, metavar="N",
-                        help="clamp both the operator and combinatorial caps to N")
+                        help="clamp every degree cap to N (at least 1)")
     parser.add_argument("--k", type=int, help="restrict checks to one k where applicable")
     parser.add_argument("--vars", type=int, metavar="N",
-                        help="truncate x-expansions to N variables")
+                        help="truncate x-expansions to N variables (at least 1)")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="Macdonald cache directory (default: "
                              "$DELTAOPS_CACHE_DIR or in-memory)")
@@ -54,15 +54,9 @@ def make_config(args) -> Config:
         overrides["cache_dir"] = args.cache_dir
     cfg = Config.for_profile(args.profile, **overrides)
     if args.n_max is not None:
-        cfg.n_max_op = min(cfg.n_max_op, args.n_max)
-        cfg.n_max_comb = min(cfg.n_max_comb, args.n_max)
-        cfg.sym_cap = min(cfg.sym_cap, args.n_max)
-        cfg.omp_cap = min(cfg.omp_cap, args.n_max)
-        cfg.osp_equi_cap = min(cfg.osp_equi_cap, args.n_max)
-        cfg.gamma_cap = min(cfg.gamma_cap, args.n_max)
-        cfg.xy_cap = min(cfg.xy_cap, args.n_max)
-        cfg.eh_cap = min(cfg.eh_cap, args.n_max)
-        cfg.bij_cap = min(cfg.bij_cap, args.n_max)
+        for name in CAP_FIELDS:
+            setattr(cfg, name, min(getattr(cfg, name), args.n_max))
+    cfg.validate()
     return cfg
 
 

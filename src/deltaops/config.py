@@ -7,6 +7,12 @@ from dataclasses import dataclass, field, replace
 
 ENV_CACHE_DIR = "DELTAOPS_CACHE_DIR"
 
+# Every degree cap of a Config; each must be at least 1.
+CAP_FIELDS = (
+    "n_max_op", "n_max_comb", "sym_cap", "omp_cap", "osp_equi_cap",
+    "gamma_cap", "xy_cap", "bij_cap", "eh_cap", "lucas_cap",
+)
+
 
 @dataclass
 class Config:
@@ -61,6 +67,19 @@ class Config:
         if profile == "full":
             return cls.full(**overrides)
         raise ValueError(f"unknown profile {profile!r}")
+
+    def validate(self) -> None:
+        """Refuse caps and a variable count that would make checks vacuous.
+
+        With a cap below 1 a check runs no instance, and in fewer than one
+        variable both sides of every x-expansion vanish; either way a run
+        would pass without testing anything.
+        """
+        low = [name for name in CAP_FIELDS if getattr(self, name) < 1]
+        if low:
+            raise ValueError(f"caps must be at least 1: {', '.join(low)}")
+        if self.vars_n is not None and self.vars_n < 1:
+            raise ValueError(f"vars_n must be at least 1, got {self.vars_n}")
 
     def vars_for(self, n: int) -> int:
         return self.vars_n if self.vars_n is not None else n

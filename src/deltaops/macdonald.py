@@ -31,7 +31,7 @@ from .partitions import (
     partitions,
     reverse_lex_sorted,
 )
-from .poly import MultiPoly, ONE, Q, RatFunc, qint
+from .poly import MultiPoly, ONE, Q, RatFunc, poly_gcd_qt, qint
 from .symfunc import (
     SymFunc,
     alphabet_from_poly,
@@ -213,6 +213,33 @@ def validate_degree(n: int, table: dict) -> None:
             raise MacdonaldError("degree-2 battery: (H_11 - H_2)/(t-q) != e_2")
 
 
+def validate_loaded_degree(n: int, table: dict, source: str) -> None:
+    """The checks a degree read back from disk passes before any use.
+
+    A file whose checksum matches may still hold the wrong table: shapes
+    missing, a rational coefficient, or q and t swapped.  The H-expansion
+    sums need every shape of degree n with polynomial coefficients, and the
+    hook inner products pin the q, t convention of each shape.
+    """
+    if set(table) != set(partitions(n)):
+        missing = sorted(set(partitions(n)) - set(table))
+        extra = sorted(set(table) - set(partitions(n)))
+        raise MacdonaldError(
+            f"{source}: shapes differ from the partitions of {n} "
+            f"(missing {missing}, unexpected {extra})"
+        )
+    for mu, h in table.items():
+        if h.basis != "m" or not all(c.is_poly() for c in h.coeffs.values()):
+            raise MacdonaldError(
+                f"{source}: htilde{mu} is not a monomial expansion with "
+                f"polynomial coefficients"
+            )
+        try:
+            validate_htilde_inner_products(mu, h)
+        except MacdonaldError as exc:
+            raise MacdonaldError(f"{source}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -221,7 +248,8 @@ class MacdonaldCache:
     """Monomial expansions of H-tilde, kept per degree, persisted to disk.
 
     Files are one per degree (htilde_<n>.txt) with a trailing checksum line;
-    rebuilding a degree always reproduces the same bytes.
+    rebuilding a degree always reproduces the same bytes.  A file read back
+    must also pass validate_loaded_degree before any use.
     """
 
     def __init__(self, directory: str | None = None, progress: bool = False):
@@ -300,9 +328,13 @@ class MacdonaldCache:
         if lines[-1] != f"checksum={digest}":
             raise MacdonaldError(f"cache file {path} is corrupted (checksum mismatch)")
         table = {}
-        for line in lines[:-1]:
-            mu_text, _, body_text = line.partition("|")
-            table[partition_from_text(mu_text)] = SymFunc.from_text(body_text)
+        try:
+            for line in lines[:-1]:
+                mu_text, _, body_text = line.partition("|")
+                table[partition_from_text(mu_text)] = SymFunc.from_text(body_text)
+        except (ValueError, IndexError, ArithmeticError) as exc:
+            raise MacdonaldError(f"cache file {path} is unreadable: {exc}") from exc
+        validate_loaded_degree(n, table, path)
         return table
 
 
@@ -412,14 +444,11 @@ def _star_expand_degree(n: int, fm: SymFunc, cache: MacdonaldCache):
     # Exact back-substitution guard: the pairing route is only trusted when
     # the candidate coefficients reproduce f on the nose.
     table = cache.degree(n)
-    recon: dict = {}
-    for mu, c in sol.items():
-        for lam, v in table[mu].coeffs.items():
-            add = c * v
-            recon[lam] = recon[lam] + add if lam in recon else add
-    recon = {lam: v for lam, v in recon.items() if not v.is_zero()}
+    nums, den = _h_sum(sol, lambda mu: table[mu].coeffs)
     target = fm.coeffs
-    if set(recon) != set(target) or any(recon[lam] != target[lam] for lam in recon):
+    if set(nums) != set(target) or any(
+        nums[lam] * c.den != c.num * den for lam, c in target.items()
+    ):
         return None
     return sol
 
@@ -475,15 +504,40 @@ def _solve_degree(n: int, fm: SymFunc, cache: MacdonaldCache) -> dict:
     return {mus[i]: ys[i] * inv_scale for i in range(k)}
 
 
+def _h_sum(coeffs: dict, row) -> tuple:
+    """sum_mu c_mu * row(mu) over one common denominator.
+
+    row(mu) is a {key: RatFunc} table with polynomial entries: the monomial
+    expansion of H_mu, or one pairing-table entry.  Returns (nums, L) with
+    sum_mu c_mu * row(mu)[key] = nums[key] / L for every key, zero numerators
+    dropped.  L is the lcm of the denominators of the c_mu that contribute,
+    so the sum runs in polynomial arithmetic: gcds are taken only to build
+    L, never per term.
+    """
+    rows = [(c, row(mu)) for mu, c in coeffs.items()]
+    rows = [(c, r) for c, r in rows if r]
+    den = ONE
+    # In the c_mu order: the cost of poly_gcd_qt depends on its operands,
+    # and taking the same lcm in set order made it 6x slower at n = 5.
+    for d in dict.fromkeys(c.den for c, _ in rows):
+        den = den * d.divexact(poly_gcd_qt(den, d))
+    nums: dict = {}
+    for c, r in rows:
+        scale = c.num * den.divexact(c.den)
+        for key, v in r.items():
+            if not v.is_poly():
+                raise ValueError(f"H-expansion sum: entry {key} is not a polynomial")
+            add = scale * v.num
+            nums[key] = nums[key] + add if key in nums else add
+    return {key: v for key, v in nums.items() if not v.is_zero()}, den
+
+
 def from_h_expansion(coeffs: dict, cache: MacdonaldCache | None = None) -> SymFunc:
+    """sum c_mu H_mu in the monomial basis; c_() is the constant term."""
     cache = _cache_or_default(cache)
-    out = SymFunc.zero("m")
-    for mu, c in coeffs.items():
-        if mu == ():
-            out = out + SymFunc.one().scale(c)
-        else:
-            out = out + cache.htilde(mu).scale(c)
-    return out
+    one = SymFunc.one().coeffs
+    nums, den = _h_sum(coeffs, lambda mu: cache.htilde(mu).coeffs if mu else one)
+    return SymFunc("m", {lam: RatFunc(num, den) for lam, num in nums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +621,14 @@ def h_inner_table(n: int, g: SymFunc, cache: MacdonaldCache | None = None) -> di
 
 
 def hexp_inner(hcoeffs: dict, table: dict) -> RatFunc:
-    """<sum c_mu H_mu, g> given the precomputed pairing table."""
-    out = RatFunc.zero()
-    for mu, c in hcoeffs.items():
-        t = table.get(mu)
-        if t is not None and not t.is_zero():
-            out = out + c * t
-    return out
+    """<sum c_mu H_mu, g> given the precomputed pairing table.
+
+    The table's entries <H_mu, g> must be polynomials, as they are for the
+    Schur-positive g the checks pair against; shapes missing from the
+    table pair to zero.
+    """
+    nums, den = _h_sum(hcoeffs, lambda mu: {(): table[mu]} if mu in table else {})
+    return RatFunc(nums[()], den) if nums else RatFunc.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import comb, gcd as int_gcd
+from operator import add, sub
 
 # Slot names for the five fixed variables; slot 5+i is x{i+1}.
 FIXED_VARS = ("q", "t", "z", "w", "u")
@@ -50,6 +52,17 @@ def _trim(exps) -> tuple:
     while n and exps[n - 1] == 0:
         n -= 1
     return exps[:n]
+
+
+def _finish(data: dict) -> dict:
+    """Drop zero coefficients, trim padded keys and coerce integral values."""
+    out = {}
+    for k, c in data.items():
+        if c:
+            if k and not k[-1]:
+                k = _trim(k)
+            out[k] = c if type(c) is int else _coerce(c)
+    return out
 
 
 def _coerce(c):
@@ -150,10 +163,6 @@ class MultiPoly:
         i = var_index(name)
         return max((k[i] if i < len(k) else 0) for k in self.terms)
 
-    def exp_of(self, key: tuple, name: str) -> int:
-        i = var_index(name)
-        return key[i] if i < len(key) else 0
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
@@ -196,21 +205,16 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        zeros = (0,) * max(max(map(len, a)), max(map(len, b)))
+        pb = [(k + zeros[len(k):], c) for k, c in b.items()]
         data = {}
+        get = data.get
         for ka, ca in a.items():
-            la = len(ka)
-            for kb, cb in b.items():
-                lb = len(kb)
-                if la < lb:
-                    k = tuple(kb[i] + (ka[i] if i < la else 0) for i in range(lb))
-                else:
-                    k = tuple(ka[i] + (kb[i] if i < lb else 0) for i in range(la))
-                s = data.get(k, 0) + ca * cb
-                if s == 0:
-                    data.pop(k, None)
-                else:
-                    data[k] = s
-        return MultiPoly._raw({k: _coerce(c) for k, c in data.items()})
+            ka += zeros[len(ka):]
+            for kb, cb in pb:
+                k = tuple(map(add, ka, kb))
+                data[k] = get(k, 0) + ca * cb
+        return MultiPoly._raw(_finish(data))
 
     __rmul__ = __mul__
 
@@ -317,7 +321,13 @@ class MultiPoly:
         return out
 
     def divexact(self, d: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises ValueError when d does not divide self."""
+        """Exact division; raises ValueError when d does not divide self.
+
+        Long division by the lex-leading term of d.  The remainder's keys
+        sit in a heap of negated padded keys, so each step pops the leading
+        remainder term instead of rescanning the remainder; a key whose
+        term cancelled stays in the heap and is skipped when popped.
+        """
         if not d.terms:
             raise ZeroDivisionError("division by zero polynomial")
         if d.is_constant():
@@ -325,30 +335,36 @@ class MultiPoly:
             return MultiPoly._raw({k: _coerce(c * inv) for k, c in self.terms.items()})
         if not self.terms:
             return MultiPoly.zero()
-        dk, dc = d.leading()
-        rem = dict(self.terms)
+        zeros = (0,) * max(max(map(len, d.terms)), max(map(len, self.terms)))
+        lead, dc = d.leading()
+        dk = lead + zeros[len(lead):]
+        tail = [(k + zeros[len(k):], c) for k, c in d.terms.items() if k != lead]
+        rem = {k + zeros[len(k):]: c for k, c in self.terms.items()}
+        heap = [tuple(-e for e in k) for k in rem]
+        heapq.heapify(heap)
         quo = {}
-        width = max(len(dk), max(len(k) for k in rem))
-        pad = lambda k: k + (0,) * (width - len(k))
         while rem:
-            k = max(rem, key=pad)
-            c = rem[k]
-            kk, dd = pad(k), pad(dk)
-            qk = tuple(a - b for a, b in zip(kk, dd))
-            if any(e < 0 for e in qk):
+            k = tuple(-e for e in heapq.heappop(heap))
+            c = rem.pop(k, 0)
+            if not c:
+                continue
+            qk = tuple(map(sub, k, dk))
+            if min(qk) < 0:
                 raise ValueError("not divisible")
-            qc = Fraction(c) / Fraction(dc)
-            qk = _trim(qk)
-            quo[qk] = _coerce(qc)
-            for k2, c2 in d.terms.items():
-                kk2 = pad(k2)
-                ksum = _trim(tuple(a + b for a, b in zip(pad(qk), kk2)))
-                s = rem.get(ksum, 0) - qc * c2
-                if s == 0:
-                    rem.pop(ksum, None)
+            if type(c) is int and type(dc) is int and c % dc == 0:
+                qc = c // dc
+            else:
+                qc = _coerce(Fraction(c) / dc)
+            quo[qk] = qc
+            for k2, c2 in tail:
+                ksum = tuple(map(add, qk, k2))
+                old = rem.get(ksum)
+                if old is None:
+                    rem[ksum] = -qc * c2
+                    heapq.heappush(heap, tuple(-e for e in ksum))
                 else:
-                    rem[ksum] = _coerce(s)
-        return MultiPoly._raw(quo)
+                    rem[ksum] = old - qc * c2
+        return MultiPoly._raw(_finish(quo))
 
     def divides(self, other: "MultiPoly") -> bool:
         try:
@@ -423,20 +439,9 @@ def xvar(i: int) -> MultiPoly:
 # (all PRS work happens over Z to keep coefficient arithmetic on machine ints)
 # ---------------------------------------------------------------------------
 
-def _to_qt(p: MultiPoly) -> dict:
-    """View a q,t-polynomial as {t_exp: {q_exp: coeff}}."""
-    out = {}
-    for k, c in p.terms.items():
-        if len(k) > 2:
-            raise ValueError("polynomial not in q,t only")
-        qe = k[0] if len(k) >= 1 else 0
-        te = k[1] if len(k) >= 2 else 0
-        out.setdefault(te, {})[qe] = c
-    return out
-
-
 def _to_qt_int(p: MultiPoly) -> dict:
-    """Like _to_qt but scaled to integer coefficients (gcd ignores units)."""
+    """View a q,t-polynomial as {t_exp: {q_exp: coeff}}, scaled to integer
+    coefficients (gcd ignores units)."""
     scale = 1
     for c in p.terms.values():
         if isinstance(c, Fraction):
@@ -557,40 +562,8 @@ def _from_qt(d: dict) -> MultiPoly:
     return MultiPoly(items)
 
 
-def _u_norm(a: dict) -> dict:
-    return {e: c for e, c in a.items() if c != 0}
-
-
 def _u_deg(a: dict) -> int:
     return max(a) if a else -1
-
-
-def _u_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, 0) + ca * cb
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def _u_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def _u_scale(a: dict, c) -> dict:
-    return {e: v * c for e, v in a.items()} if c != 0 else {}
 
 
 def _u_divmod(a: dict, b: dict) -> tuple:
@@ -612,17 +585,6 @@ def _u_divmod(a: dict, b: dict) -> tuple:
             else:
                 rem[e2] = s
     return quo, rem
-
-
-def _u_gcd(a: dict, b: dict) -> dict:
-    a, b = _u_norm(a), _u_norm(b)
-    while b:
-        _, r = _u_divmod(a, b)
-        a, b = b, r
-    if a:
-        lc = Fraction(a[_u_deg(a)])
-        a = {e: Fraction(c) / lc for e, c in a.items()}
-    return a
 
 
 def _t_content(p: dict) -> dict:
@@ -1016,9 +978,3 @@ def poly_divides(a: MultiPoly, b: MultiPoly) -> bool:
         raise ValueError("zero divisor")
     return a.divides(b)
 
-
-def igcd(*ns: int) -> int:
-    out = 0
-    for n in ns:
-        out = int_gcd(out, n)
-    return out

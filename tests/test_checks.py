@@ -79,6 +79,28 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_rejects_vacuous_configs(tmp_path, capsys):
+    # zero variables make both sides of every x-expansion vanish
+    rc = main(["--check", "delta-rise", "--n-max", "3", "--vars", "0",
+               "--cache-dir", str(tmp_path)])
+    assert rc == 2
+    assert "PASS" not in capsys.readouterr().out
+    # a negative --n-max would leave only the q-binomial sweep of schur-pos
+    rc = main(["--n-max", "-1", "--format", "structured", "--cache-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError, match="lucas_cap"):
+        tiny_config(lucas_cap=0).validate()
+
+
+def test_cli_n_max_clamps_every_cap():
+    from deltaops.cli import build_parser, make_config
+    from deltaops.config import CAP_FIELDS
+
+    cfg = make_config(build_parser().parse_args(["--profile", "full", "--n-max", "3"]))
+    assert all(getattr(cfg, name) == 3 for name in CAP_FIELDS)
+
+
 def test_cli_structured_format(tmp_path, capsys):
     rc = main(["--check", "ek-identity", "--n-max", "2",
                "--cache-dir", str(tmp_path), "--format", "structured"])

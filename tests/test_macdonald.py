@@ -1,9 +1,12 @@
 """Macdonald expansions, the validation battery, Delta operators, caching."""
 
+import hashlib
 import os
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaops.macdonald import (
     MacdonaldCache,
@@ -22,11 +25,10 @@ from deltaops.macdonald import (
     specialize_symfunc_t_recip,
     tmu,
 )
-from deltaops.partitions import partitions
+from deltaops.cli import main
+from deltaops.partitions import hook, partitions
 from deltaops.poly import MultiPoly, ONE, Q, RatFunc, T
 from deltaops.symfunc import SymFunc, convert, hall_inner, schur_expand
-
-import pytest
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +159,129 @@ def test_battery_rejects_wrong_convention():
                           (1, 1): RatFunc.from_poly(ONE + T)})  # q<->t swapped H_2
     with pytest.raises(MacdonaldError):
         validate_htilde_inner_products((2,), wrong)
+
+
+def _rewrite_cache_file(path, edit):
+    """Apply edit to the lines of a cache file and give it a valid checksum."""
+    lines = edit(path.read_text().splitlines()[:-1])
+    body = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(body + f"checksum={digest}\n")
+
+
+def test_load_rejects_a_missing_shape(tmp_path, capsys):
+    MacdonaldCache(str(tmp_path)).degree(2)
+    _rewrite_cache_file(tmp_path / "htilde_2.txt",
+                        lambda lines: [l for l in lines if not l.startswith("(1,1)|")])
+    with pytest.raises(MacdonaldError, match="missing"):
+        MacdonaldCache(str(tmp_path)).degree(2)
+    rc = main(["--check", "delta-rise", "--n-max", "2", "--cache-dir", str(tmp_path)])
+    assert rc == 2
+    assert "missing [(1, 1)]" in capsys.readouterr().err
+
+
+def test_load_rejects_swapped_q_and_t(tmp_path, capsys):
+    MacdonaldCache(str(tmp_path)).degree(3)
+    swap = {"q": T, "t": Q}
+
+    def edit(lines):
+        out = []
+        for line in lines:
+            mu_text, _, body = line.partition("|")
+            h = SymFunc.from_text(body).map_coeffs(
+                lambda c: RatFunc.from_poly(c.num.subs(swap)))
+            out.append(f"{mu_text}|{h.to_text()}")
+        return out
+
+    _rewrite_cache_file(tmp_path / "htilde_3.txt", edit)
+    with pytest.raises(MacdonaldError, match="htilde_3.txt"):
+        MacdonaldCache(str(tmp_path)).degree(3)
+    rc = main(["--check", "ek-identity", "--n-max", "3", "--cache-dir", str(tmp_path)])
+    assert rc == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_load_rejects_a_rational_coefficient(tmp_path):
+    MacdonaldCache(str(tmp_path)).degree(2)
+    _rewrite_cache_file(
+        tmp_path / "htilde_2.txt",
+        lambda lines: [l.replace("(1,1)->1*q^1 + 1", "(1,1)->(1*q^1 + 1)/(1*t^1 + 1)")
+                       for l in lines])
+    with pytest.raises(MacdonaldError, match="polynomial"):
+        MacdonaldCache(str(tmp_path)).degree(2)
+
+
+# -- the common-denominator H-expansion sums against per-term RatFunc sums ---
+
+# Denominator factors of the shape the H-expansion of e_n produces.
+# Q + T and ONE + Q + T also divide some hook pairings e_k[B_mu - 1], so
+# the sums can cancel against the common denominator.
+_FACTORS = (Q - T, ONE - Q, ONE - T, Q ** 2 - T, Q - T ** 3, ONE - Q * T,
+            ONE + Q, Q + T, ONE + Q + T, MultiPoly.const(3))
+
+
+@st.composite
+def h_coeffs(draw, n):
+    """Random c_mu for the shapes of degree n, with mixed denominators."""
+    out = {}
+    for mu in partitions(n):
+        if not draw(st.booleans()):
+            continue
+        num = MultiPoly(draw(st.lists(
+            st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+            max_size=3)))
+        den = ONE
+        for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=3)):
+            den = den * f
+        out[mu] = RatFunc(num, den)
+    return out
+
+
+def _per_term_sum(coeffs, rows):
+    """The sum the common-denominator route replaced, one RatFunc op a term."""
+    out = {}
+    for mu, c in coeffs.items():
+        for key, v in rows(mu).items():
+            add = c * v
+            out[key] = out[key] + add if key in out else add
+    return {key: v for key, v in out.items() if not v.is_zero()}
+
+
+def _exact(coeffs):
+    return {key: (c.num.terms, c.den.terms) for key, c in coeffs.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_from_h_expansion_matches_per_term_sum(cache, data):
+    n = data.draw(st.integers(1, 4))
+    coeffs = data.draw(h_coeffs(n))
+    if data.draw(st.booleans()):
+        coeffs[()] = RatFunc(Q + 2, ONE - Q)
+    one = SymFunc.one().coeffs
+    oracle = _per_term_sum(coeffs, lambda mu: cache.htilde(mu).coeffs if mu else one)
+    assert _exact(from_h_expansion(coeffs, cache).coeffs) == _exact(oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hexp_inner_matches_per_term_sum(cache, data):
+    n = data.draw(st.integers(1, 4))
+    coeffs = data.draw(h_coeffs(n))
+    g = data.draw(st.sampled_from(
+        [SymFunc.e(n), SymFunc.h(n)] + [SymFunc.s(hook(k, n)) for k in range(n)]))
+    table = h_inner_table(n, g, cache)
+    del table[data.draw(st.sampled_from(sorted(table)))]
+    oracle = _per_term_sum(coeffs, lambda mu: {(): table[mu]} if mu in table else {})
+    assert _exact({(): hexp_inner(coeffs, table)}) == _exact(
+        oracle or {(): RatFunc.zero()})
+
+
+def test_hexp_inner_cancels_the_common_denominator(cache):
+    # <H_(2,1), s_(2,1)> = q + t cancels the q + t of c_(2,1)
+    table = h_inner_table(3, SymFunc.s((2, 1)), cache)
+    coeffs = {(2, 1): RatFunc(ONE, Q + T), (3,): RatFunc(ONE, ONE - Q)}
+    got = hexp_inner(coeffs, table)
+    assert _exact({(): got}) == _exact(_per_term_sum(coeffs, lambda mu: {(): table[mu]}))
+    assert got == RatFunc(ONE + Q ** 2, ONE - Q)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltaops.poly import (
@@ -190,3 +190,58 @@ def test_x_variables():
     p = xvar(1) * xvar(2) + U
     assert p.coeff_extract("u", 1) == ONE
     assert p.degree("x1") == 1
+
+
+# -- differential tests of the multiplication and exact-division kernels ----
+
+@st.composite
+def polys(draw, max_terms=5, max_exp=3, width=8):
+    """Polynomials over q, t, z, w, u and x-variables, Fraction coefficients."""
+    items = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, max_exp), max_size=width).map(tuple),
+            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        ),
+        max_size=max_terms,
+    ))
+    return MultiPoly(items)
+
+
+def naive_product(a, b):
+    """Term-by-term product through the normalizing constructor."""
+    items = []
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            width = max(len(ka), len(kb))
+            ka2 = ka + (0,) * (width - len(ka))
+            kb2 = kb + (0,) * (width - len(kb))
+            items.append((tuple(x + y for x, y in zip(ka2, kb2)), ca * cb))
+    return MultiPoly(items)
+
+
+def canonical(p):
+    """Terms with exact coefficient types, so int/Fraction drift shows."""
+    return {k: (type(c), c) for k, c in p.terms.items()}
+
+
+@given(polys(), polys())
+def test_mul_matches_naive_product(a, b):
+    prod = a * b
+    assert canonical(prod) == canonical(naive_product(a, b))
+    assert all(not k or k[-1] for k in prod.terms)
+
+
+@given(polys(), polys())
+def test_divexact_inverts_mul(a, b):
+    assume(not b.is_zero())
+    assert canonical((a * b).divexact(b)) == canonical(a)
+
+
+@given(polys(), polys(), polys(max_terms=3, max_exp=1))
+def test_divexact_raises_when_the_divisor_does_not_divide(a, b, r):
+    # A nonzero r of lower total degree than b is no multiple of b, so b
+    # does not divide a*b + r.
+    assume(not r.is_zero() and r.degree() < b.degree())
+    with pytest.raises(ValueError):
+        (a * b + r).divexact(b)
+
