@@ -12,7 +12,8 @@ import os
 import sys
 import time
 
-from deltaops.macdonald import ENV_CACHE_DIR, MacdonaldCache
+from deltaops.config import ENV_CACHE_DIR
+from deltaops.macdonald import MacdonaldCache
 
 
 def main() -> int:

@@ -10,7 +10,8 @@ k = 1 closed form) visible at a glance.
 import argparse
 import os
 
-from deltaops.macdonald import ENV_CACHE_DIR, MacdonaldCache, delta_prime
+from deltaops.config import ENV_CACHE_DIR
+from deltaops.macdonald import MacdonaldCache, delta_prime
 from deltaops.partitions import reverse_lex_sorted
 from deltaops.symfunc import SymFunc, convert
 

@@ -135,17 +135,12 @@ def _progress(msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _delta_prime_en(n: int, k: int, cache: MacdonaldCache) -> SymFunc:
-    memo = cache.__dict__.setdefault("_dprime_en", {})
-    if (n, k) not in memo:
-        memo[(n, k)] = delta_prime(SymFunc.e(k), SymFunc.e(n), cache)
-    return memo[(n, k)]
+    return cache.memo(("dprime_en", n, k),
+                      lambda: delta_prime(SymFunc.e(k), SymFunc.e(n), cache))
 
 
 def _inner_table(n: int, g: SymFunc, key: str, cache: MacdonaldCache) -> dict:
-    memo = cache.__dict__.setdefault("_inner_tables", {})
-    if (n, key) not in memo:
-        memo[(n, key)] = h_inner_table(n, g, cache)
-    return memo[(n, key)]
+    return cache.memo(("inner_table", n, key), lambda: h_inner_table(n, g, cache))
 
 
 def _chain_inner(n: int, ops: list, target: SymFunc, target_key: str,
@@ -155,10 +150,6 @@ def _chain_inner(n: int, ops: list, target: SymFunc, target_key: str,
     for f, prime in ops:
         hc = delta_h(f, hc, prime=prime)
     return hexp_inner(hc, _inner_table(n, target, target_key, cache))
-
-
-def _poly_or_err(c: RatFunc) -> MultiPoly:
-    return c.as_poly()
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +231,9 @@ def check_zero_special(cfg: Config, cache: MacdonaldCache):
             c = dp.coeffs.get(alpha, RatFunc.zero()) if dp.basis == "m" else \
                 convert(dp, "m").coeffs.get(alpha, RatFunc.zero())
             try:
-                quantities["op(t=0)"] = _poly_or_err(c.subs({"t": 0}))
-                quantities["op(q=0,t=q)"] = _poly_or_err(
-                    c.subs({"q": 0, "t": RatFunc.from_poly(Q)}))
+                quantities["op(t=0)"] = c.subs({"t": 0}).as_poly()
+                quantities["op(q=0,t=q)"] = c.subs(
+                    {"q": 0, "t": RatFunc.from_poly(Q)}).as_poly()
             except (ValueError, ZeroDivisionError) as exc:
                 yield CheckResult("zero-special", {"n": n, "k": k}, "theorem",
                                   False, f"specialization failed: {exc}")
@@ -546,15 +537,7 @@ def check_cat4(cfg: Config, cache: MacdonaldCache):
         # first one in reading order, matching the valley count
         ok = True
         for a in P.dyck_paths(n):
-            order = sorted(range(1, n + 1), key=lambda i: (-a[i - 1], -i))
-            b = []
-            for m, row in enumerate(order):
-                cnt = 0
-                for prior in order[:m]:
-                    i, j = min(prior, row), max(prior, row)
-                    if a[i - 1] == a[j - 1] or a[i - 1] == a[j - 1] + 1:
-                        cnt += 1
-                b.append(cnt)
+            order, b = G.reading_b_vector(a)
             ascents = {order[m] for m in range(1, n) if b[m] > b[m - 1]}
             peak_rows = {i + 1 for i in range(n) if i == n - 1 or a[i + 1] <= a[i]}
             peaks_in_reading = [row for row in order if row in peak_rows]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import CHECKS, Report, run_check, run_suite
+from .checks import CHECKS, run_check, run_suite
 from .config import CAP_FIELDS, Config
 from .macdonald import MacdonaldCache, MacdonaldError
 
@@ -79,7 +79,6 @@ def main(argv=None) -> int:
     cache = MacdonaldCache(cfg.cache_dir, progress=True)
     try:
         if args.check:
-            report = Report()
             for name in args.check:
                 if name not in CHECKS:
                     print(f"error: unknown check {name!r}; try --list", file=sys.stderr)

@@ -424,6 +424,26 @@ def yamanouchi_schur(diag: tuple, a: tuple, N: int | None = None) -> dict:
 # 4-variable Catalan polynomials
 # ---------------------------------------------------------------------------
 
+def reading_b_vector(a: tuple) -> tuple:
+    """(order, b): rows in reading order and the b-vector along it.
+
+    Reading order visits rows by descending area, and by descending row
+    index within an area; b[m] counts the earlier rows in that order that
+    form a dinv pair with row order[m].
+    """
+    n = len(a)
+    order = sorted(range(1, n + 1), key=lambda i: (-a[i - 1], -i))
+    b = []
+    for m, row in enumerate(order):
+        cnt = 0
+        for prior in order[:m]:
+            i, j = min(prior, row), max(prior, row)
+            if a[i - 1] == a[j - 1] or a[i - 1] == a[j - 1] + 1:
+                cnt += 1
+        b.append(cnt)
+    return order, b
+
+
 def _catalan_zw(a: tuple, use_b: bool) -> dict:
     """One path's contribution as {(qe, te, ze, we): count}."""
     n = len(a)
@@ -433,15 +453,7 @@ def _catalan_zw(a: tuple, use_b: bool) -> dict:
     rises = P.rise_rows(a)
     wdp = _subset_dp([a[i - 1] for i in rises])
     if use_b:
-        order = sorted(range(1, n + 1), key=lambda i: (-a[i - 1], -i))
-        b = []
-        for m, row in enumerate(order):
-            cnt = 0
-            for prior in order[:m]:
-                i, j = min(prior, row), max(prior, row)
-                if a[i - 1] == a[j - 1] or a[i - 1] == a[j - 1] + 1:
-                    cnt += 1
-            b.append(cnt)
+        _, b = reading_b_vector(a)
         zoffs = [b[m] for m in range(1, n) if b[m] > b[m - 1]]
     else:
         zoffs = [dvec[i - 1] + 1 for i in P.val_rows(a)]
@@ -459,45 +471,36 @@ def _catalan_zw(a: tuple, use_b: bool) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _catalan_sum(n: int, use_b: bool, touch: int | None) -> MultiPoly:
+    """Sum of _catalan_zw over the Dyck paths of order n; with touch given,
+    only over the paths with exactly that many rows of area 0."""
+    acc: dict = {}
+    for a in P.dyck_paths(n):
+        if touch is not None and a.count(0) != touch:
+            continue
+        for key, c in _catalan_zw(a, use_b).items():
+            _bump(acc, key, c)
+    return MultiPoly(acc)
+
+
 def cat4(n: int) -> MultiPoly:
     """Cat_n(q,t,z,w): valley z-product and rise w-product over Dyck paths."""
-    acc: dict = {}
-    for a in P.dyck_paths(n):
-        for key, c in _catalan_zw(a, use_b=False).items():
-            _bump(acc, key, c)
-    return MultiPoly(acc)
+    return _catalan_sum(n, False, None)
 
 
-@lru_cache(maxsize=None)
 def catmod4(n: int) -> MultiPoly:
     """Cat'_n(q,t,z,w): reading-order b-ascent z-product variant."""
-    acc: dict = {}
-    for a in P.dyck_paths(n):
-        for key, c in _catalan_zw(a, use_b=True).items():
-            _bump(acc, key, c)
-    return MultiPoly(acc)
+    return _catalan_sum(n, True, None)
 
 
-@lru_cache(maxsize=None)
 def cat4_touch(n: int, r: int) -> MultiPoly:
-    acc: dict = {}
-    for a in P.dyck_paths(n):
-        if sum(1 for v in a if v == 0) != r:
-            continue
-        for key, c in _catalan_zw(a, use_b=False).items():
-            _bump(acc, key, c)
-    return MultiPoly(acc)
+    """The part of Cat_n from paths with r rows of area 0."""
+    return _catalan_sum(n, False, r)
 
 
-@lru_cache(maxsize=None)
 def catmod4_touch(n: int, r: int) -> MultiPoly:
-    acc: dict = {}
-    for a in P.dyck_paths(n):
-        if sum(1 for v in a if v == 0) != r:
-            continue
-        for key, c in _catalan_zw(a, use_b=True).items():
-            _bump(acc, key, c)
-    return MultiPoly(acc)
+    """The part of Cat'_n from paths with r rows of area 0."""
+    return _catalan_sum(n, True, r)
 
 
 @lru_cache(maxsize=None)
@@ -510,15 +513,7 @@ def _catmod_comp_all(n: int) -> dict:
         dvec = P.d_vector(a)
         dv = sum(dvec)
         ar = P.area(a)
-        order = sorted(range(1, n + 1), key=lambda i: (-a[i - 1], -i))
-        b = []
-        for m, row in enumerate(order):
-            cnt = 0
-            for prior in order[:m]:
-                i, j = min(prior, row), max(prior, row)
-                if a[i - 1] == a[j - 1] or a[i - 1] == a[j - 1] + 1:
-                    cnt += 1
-            b.append(cnt)
+        _, b = reading_b_vector(a)
         zdp = _subset_dp([b[m] for m in range(1, n) if b[m] > b[m - 1]])
         rises = P.rise_rows(a)
         for stars in _all_subsets(rises):

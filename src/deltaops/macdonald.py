@@ -8,8 +8,9 @@ the hook inner products <H_mu, s_(k+1,1^...)> = e_...[B_mu - 1], and the
 degree-2 expansion of e_2) before it is cached or used.
 
 Delta operators act diagonally on the H basis: expand the argument once by
-an exact linear solve against the cached monomial expansions, then scale
-each coefficient by the plethystic eigenvalue f[B_mu] (or f[B_mu - 1]).
+the star pairing, checked by exact back-substitution against the cached
+monomial expansions, then scale each coefficient by the plethystic
+eigenvalue f[B_mu] (or f[B_mu - 1]).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import tempfile
 from fractions import Fraction
 from functools import lru_cache
 
+from .config import ENV_CACHE_DIR
 from .partitions import (
     check_partition,
     conjugate,
@@ -40,10 +42,7 @@ from .symfunc import (
     from_expansion,
     hall_inner,
     plethysm,
-    register_basis,
 )
-
-ENV_CACHE_DIR = "DELTAOPS_CACHE_DIR"
 
 
 class MacdonaldError(Exception):
@@ -57,14 +56,6 @@ class MacdonaldError(Exception):
 def cells(mu: tuple) -> tuple:
     """Cells (row, col) of the French-notation diagram, row 0 at the bottom."""
     return tuple((r, c) for r, part in enumerate(mu) for c in range(part))
-
-
-def coarm(mu: tuple, cell: tuple) -> int:
-    return cell[1]
-
-
-def coleg(mu: tuple, cell: tuple) -> int:
-    return cell[0]
 
 
 def arm(mu: tuple, cell: tuple) -> int:
@@ -249,15 +240,16 @@ class MacdonaldCache:
 
     Files are one per degree (htilde_<n>.txt) with a trailing checksum line;
     rebuilding a degree always reproduces the same bytes.  A file read back
-    must also pass validate_loaded_degree before any use.
+    must also pass validate_loaded_degree before any use.  Values derived
+    from the tables (expansions, pairing tables, Delta images) are memoized
+    through memo() under tagged-tuple keys.
     """
 
     def __init__(self, directory: str | None = None, progress: bool = False):
         self.directory = directory
         self.progress = progress
         self._mem: dict = {}
-        self._expansions: dict = {}
-        self._duals: dict = {}
+        self._memo: dict = {}
         if directory:
             os.makedirs(directory, exist_ok=True)
 
@@ -276,6 +268,12 @@ class MacdonaldCache:
     def htilde(self, mu: tuple) -> SymFunc:
         mu = check_partition(mu)
         return self.degree(sum(mu))[mu]
+
+    def memo(self, key: tuple, compute):
+        """The value stored under key, computed by compute() on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- build -------------------------------------------------------------------
 
@@ -353,16 +351,15 @@ def _cache_or_default(cache) -> MacdonaldCache:
 
 
 # ---------------------------------------------------------------------------
-# expansion in the H basis (exact linear solve)
+# expansion in the H basis (star pairing, checked by back-substitution)
 # ---------------------------------------------------------------------------
 
 def expand_in_htilde(f: SymFunc, cache: MacdonaldCache | None = None) -> dict:
     """Coefficients c_mu with f = sum c_mu H_mu, one degree at a time.
 
-    The fast route pairs f against the twisted dual basis
-    omega(H_mu[X(1-q)(1-t)]) / <H_mu, dual>; the result is verified by exact
-    back-substitution, and any failure falls back to the fraction-free
-    linear solve against the cached monomial expansions.
+    Pairs f against the twisted dual basis omega(H_mu[X(1-q)(1-t)]) and
+    divides by <H_mu, dual>; the result is verified by exact
+    back-substitution, and a failure raises MacdonaldError.
     """
     cache = _cache_or_default(cache)
     fm = convert(f, "m")
@@ -372,13 +369,8 @@ def expand_in_htilde(f: SymFunc, cache: MacdonaldCache | None = None) -> dict:
         if n == 0:
             out[()] = comp.coeffs.get((), RatFunc.zero())
             continue
-        key = comp.to_text()
-        if key not in cache._expansions:
-            sol = _star_expand_degree(n, comp, cache)
-            if sol is None:
-                sol = _solve_degree(n, comp, cache)
-            cache._expansions[key] = sol
-        out.update(cache._expansions[key])
+        out.update(cache.memo(("hexp", comp.to_text()),
+                              lambda: _star_expand_degree(n, comp, cache)))
     return {mu: c for mu, c in out.items() if not c.is_zero()}
 
 
@@ -394,121 +386,65 @@ def _zee(lam: tuple) -> int:
     return out
 
 
-def _dual_basis(n: int, cache: MacdonaldCache) -> dict:
-    """{mu: (p-coefficients of the twisted dual, <H_mu, dual>)}.
+def _dual_basis(n: int, cache: MacdonaldCache) -> tuple:
+    """The star-pairing table of degree n: ({lam: {mu: g_mu[lam]}}, {mu: d_mu}).
 
     The twist X -> X(1-q)(1-t) followed by omega is diagonal on power sums:
     p_lam picks up (-1)^(|lam|-len(lam)) prod (1-q^part)(1-t^part), so the
-    dual basis never needs a variable expansion.
+    dual basis never needs a variable expansion.  g_mu[lam] is z_lam times
+    that factor times the p_lam coefficient of H_mu, so the pairing of
+    f = sum f_lam p_lam with the dual of H_mu is sum_lam f_lam g_mu[lam], and
+    d_mu = <H_mu, dual>.  Every entry is a polynomial.
     """
-    if n not in cache._duals:
-        table = cache.degree(n)
-        duals = {}
-        factors = {}
-        for part in range(1, n + 1):
-            qp = MultiPoly.monomial((part,))
-            tp = MultiPoly.monomial((0, part))
-            factors[part] = RatFunc.from_poly((ONE - qp) * (ONE - tp))
-        for mu, h in table.items():
-            hp = convert(h, "p")
-            g = {}
-            for lam, c in hp.coeffs.items():
-                scale = RatFunc.from_poly(MultiPoly.const((-1) ** (sum(lam) - len(lam))))
-                for part in lam:
-                    scale = scale * factors[part]
-                g[lam] = c * scale
-            d = RatFunc.zero()
-            for lam, c in hp.coeffs.items():
-                if lam in g:
-                    d = d + c * g[lam] * _zee(lam)
+    def build():
+        twist = {}
+        for lam in partitions(n):
+            w = MultiPoly.const(_zee(lam) * (-1) ** (n - len(lam)))
+            for part in lam:
+                qp, tp = MultiPoly.monomial((part,)), MultiPoly.monomial((0, part))
+                w = w * (ONE - qp) * (ONE - tp)
+            twist[lam] = w
+        rows: dict = {}
+        dens = {}
+        for mu, h in cache.degree(n).items():
+            d = MultiPoly.zero()
+            for lam, c in convert(h, "p").coeffs.items():
+                hp = c.as_poly()
+                g = hp * twist[lam]
+                rows.setdefault(lam, {})[mu] = RatFunc.from_poly(g)
+                d = d + hp * g
             if d.is_zero():
                 raise MacdonaldError("degenerate star pairing (corrupted cache?)")
-            duals[mu] = (g, d)
-        cache._duals[n] = duals
-    return cache._duals[n]
+            dens[mu] = d
+        return rows, dens
+
+    return cache.memo(("dual", n), build)
 
 
-def _star_expand_degree(n: int, fm: SymFunc, cache: MacdonaldCache):
-    duals = _dual_basis(n, cache)
-    fp = convert(fm, "p").coeffs
-    sol = {}
-    for mu, (g, d) in duals.items():
-        c = RatFunc.zero()
-        for lam, v in fp.items():
-            gv = g.get(lam)
-            if gv is not None:
-                c = c + v * gv * _zee(lam)
-        c = c / d
-        if not c.is_zero():
-            sol[mu] = c
-    # Exact back-substitution guard: the pairing route is only trusted when
-    # the candidate coefficients reproduce f on the nose.
+def _star_expand_degree(n: int, fm: SymFunc, cache: MacdonaldCache) -> dict:
+    rows, dens = _dual_basis(n, cache)
+    nums, den = _h_sum(convert(fm, "p").coeffs, lambda lam: rows.get(lam, {}))
+    sol = {mu: RatFunc(nums[mu], den * d) for mu, d in dens.items() if mu in nums}
+    # Exact back-substitution guard.  The H_mu are orthogonal under the star
+    # pairing, so with a correct table the pairing expands every f exactly;
+    # a failure means the table is wrong, e.g. changed after validation.
     table = cache.degree(n)
     nums, den = _h_sum(sol, lambda mu: table[mu].coeffs)
     target = fm.coeffs
     if set(nums) != set(target) or any(
         nums[lam] * c.den != c.num * den for lam, c in target.items()
     ):
-        return None
+        raise MacdonaldError(f"degree {n}: H-expansion fails back-substitution "
+                             f"(corrupted cache?)")
     return sol
-
-
-def _solve_degree(n: int, fm: SymFunc, cache: MacdonaldCache) -> dict:
-    mus = list(reverse_lex_sorted(partitions(n)))
-    table = cache.degree(n)
-    k = len(mus)
-    # Clear denominators of the right-hand side.
-    dens = []
-    for lam in mus:
-        c = fm.coeffs.get(lam)
-        if c is not None and not c.is_poly() and all(d != c.den for d in dens):
-            dens.append(c.den)
-    scale = MultiPoly.const(1)
-    for d in dens:
-        scale = scale * d
-    mat = []
-    rhs = []
-    for lam in mus:
-        row = [table[mu].coeffs.get(lam, RatFunc.zero()).as_poly() for mu in mus]
-        mat.append(row)
-        c = fm.coeffs.get(lam, RatFunc.zero())
-        rhs.append((c.num * scale).divexact(c.den))
-    # Fraction-free (Bareiss) forward elimination with row pivoting.
-    prev = MultiPoly.const(1)
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if not mat[r][col].is_zero() and (
-                piv is None or len(mat[r][col].terms) < len(mat[piv][col].terms)
-            ):
-                piv = r
-        if piv is None:
-            raise MacdonaldError("singular H-basis system (corrupted cache?)")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for r in range(col + 1, k):
-            head = mat[r][col]
-            for c2 in range(col + 1, k):
-                mat[r][c2] = (mat[col][col] * mat[r][c2] - head * mat[col][c2]).divexact(prev)
-            rhs[r] = (mat[col][col] * rhs[r] - head * rhs[col]).divexact(prev)
-            mat[r][col] = MultiPoly.zero()
-        prev = mat[col][col]
-    # Back substitution over Q(q,t).
-    ys = [RatFunc.zero()] * k
-    for r in range(k - 1, -1, -1):
-        acc = RatFunc.from_poly(rhs[r])
-        for c2 in range(r + 1, k):
-            acc = acc - RatFunc.from_poly(mat[r][c2]) * ys[c2]
-        ys[r] = acc / RatFunc.from_poly(mat[r][r])
-    inv_scale = RatFunc(ONE, scale)
-    return {mus[i]: ys[i] * inv_scale for i in range(k)}
 
 
 def _h_sum(coeffs: dict, row) -> tuple:
     """sum_mu c_mu * row(mu) over one common denominator.
 
     row(mu) is a {key: RatFunc} table with polynomial entries: the monomial
-    expansion of H_mu, or one pairing-table entry.  Returns (nums, L) with
+    expansion of H_mu, one pairing-table entry, or (keyed by lam) the
+    star-pairing entries g_mu[lam] of every mu.  Returns (nums, L) with
     sum_mu c_mu * row(mu)[key] = nums[key] / L for every key, zero numerators
     dropped.  L is the lcm of the denominators of the c_mu that contribute,
     so the sum runs in polynomial arithmetic: gcds are taken only to build
@@ -671,11 +607,3 @@ def specialize_symfunc_t_recip(f: SymFunc) -> SymFunc:
     """Substitute t -> 1/q in every coefficient."""
     binding = {"t": RatFunc(ONE, Q)}
     return f.map_coeffs(lambda c: c.subs(binding))
-
-
-# Register the modified-Macdonald basis tag so convert() can reach it.
-register_basis(
-    "H",
-    to_m=lambda mu: default_cache().htilde(mu) if mu else SymFunc.one(),
-    from_m=lambda fm: SymFunc("H", expand_in_htilde(fm, default_cache())),
-)

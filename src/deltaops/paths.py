@@ -262,13 +262,6 @@ class StackPath:
         order = sorted(range(len(self.a)), key=lambda i: (-hv[i], -xs[i]))
         return tuple(self.labels[i] for i in order)
 
-    def x_monomial_key(self) -> tuple:
-        top = max(self.labels)
-        exps = [0] * top
-        for v in self.labels:
-            exps[v - 1] += 1
-        return tuple(exps)
-
 
 def stack_area_vectors(diag: tuple, n: int):
     """Area vectors valid against the stack with the given diag rows."""
@@ -474,13 +467,6 @@ class DensePath:
                 prev = max(s)
         if sum(len(s) for s in self.north) + sum(len(s) for _, s in self.east) != n:
             raise ValueError("wrong total label count")
-
-    def is_column_strict(self) -> bool:
-        try:
-            self.check(sum(len(s) for s in self.north) + sum(len(s) for _, s in self.east))
-            return True
-        except ValueError:
-            return False
 
 
 def east_square_slots(a: tuple) -> tuple:

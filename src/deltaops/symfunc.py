@@ -1,10 +1,10 @@
 """Symmetric functions over Q(q,t).
 
 A SymFunc is a finite coefficient map from partitions to RatFunc values,
-tagged with the basis it is written in ('m', 'e', 'h', 'p', 's', plus any
-registered extra basis such as the modified Macdonald 'H').  All conversions
-go through the monomial basis; transition matrices are built by brute-force
-expansion in enough variables, which keeps one self-validating code path.
+tagged with the basis it is written in ('m', 'e', 'h', 'p' or 's').  All
+conversions go through the monomial basis; transition matrices are built by
+brute-force expansion in enough variables, which keeps one self-validating
+code path.
 
 Plethysm works through the power-sum basis on alphabets of signed monic
 monomials, exactly as f[A] is defined.
@@ -29,14 +29,6 @@ from .partitions import (
 from .poly import MultiPoly, ONE, RatFunc, ZERO, _as_rat
 
 CLASSICAL_BASES = ("m", "e", "h", "p", "s")
-
-# Extra bases (e.g. modified Macdonald) register conversion hooks here:
-# tag -> (to_m(lam) -> SymFunc in m, from_m(f_m) -> SymFunc in tag).
-_BASIS_HOOKS: dict = {}
-
-
-def register_basis(tag: str, to_m, from_m) -> None:
-    _BASIS_HOOKS[tag] = (to_m, from_m)
 
 
 def _x_key(exps) -> tuple:
@@ -209,7 +201,7 @@ class SymFunc:
     __slots__ = ("basis", "coeffs")
 
     def __init__(self, basis: str, coeffs=()):
-        if basis not in CLASSICAL_BASES and basis not in _BASIS_HOOKS:
+        if basis not in CLASSICAL_BASES:
             raise ValueError(f"unknown basis {basis!r}")
         data = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
@@ -353,12 +345,6 @@ def convert(f: SymFunc, target: str) -> SymFunc:
     # to monomial
     if f.basis == "m":
         fm = f
-    elif f.basis in _BASIS_HOOKS:
-        to_m, _ = _BASIS_HOOKS[f.basis]
-        out = SymFunc.zero("m")
-        for lam, c in f.coeffs.items():
-            out = out + to_m(lam).scale(c)
-        fm = out
     else:
         data: dict = {}
         for n in f.degrees():
@@ -370,9 +356,6 @@ def convert(f: SymFunc, target: str) -> SymFunc:
         fm = SymFunc("m", data)
     if target == "m":
         return fm
-    if target in _BASIS_HOOKS:
-        _, from_m = _BASIS_HOOKS[target]
-        return from_m(fm)
     data = {}
     for n in fm.degrees():
         mat = from_m_matrix(target, n)

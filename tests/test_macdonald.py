@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from deltaops.macdonald import (
     MacdonaldCache,
     MacdonaldError,
+    arm,
     bmu,
+    cells,
     delta,
     delta_h,
     delta_identity_check,
@@ -21,6 +23,7 @@ from deltaops.macdonald import (
     from_h_expansion,
     h_inner_table,
     hexp_inner,
+    leg,
     nabla,
     specialize_symfunc_t_recip,
     tmu,
@@ -71,14 +74,35 @@ def test_e2_expansion(cache):
     assert expand_in_htilde(cache.htilde((2, 1)), cache) == {(2, 1): RatFunc.one()}
 
 
-def test_expand_matches_linear_solve(cache):
-    from deltaops.macdonald import _solve_degree
-    for n in range(1, 5):
-        for f in (SymFunc.e(n), SymFunc.h(n), SymFunc.s((n,))):
-            fast = expand_in_htilde(f, cache)
-            slow = _solve_degree(n, convert(f, "m"), cache)
-            slow = {mu: c for mu, c in slow.items() if not c.is_zero()}
-            assert fast == slow
+def _garsia_haiman_en(mu):
+    """The coefficient of H_mu in e_n: M B_mu Pi_mu / w_mu (Garsia-Haiman).
+
+    M = (1-q)(1-t), Pi_mu = prod over cells other than (0,0) of
+    (1 - q^coarm t^coleg), w_mu = prod over cells of
+    (q^arm - t^(leg+1)) (t^leg - q^(arm+1)).
+    """
+    num = (ONE - Q) * (ONE - T) * bmu(mu)
+    den = ONE
+    for r, c in cells(mu):
+        if (r, c) != (0, 0):
+            num = num * (ONE - Q ** c * T ** r)
+        a, l = arm(mu, (r, c)), leg(mu, (r, c))
+        den = den * (Q ** a - T ** (l + 1)) * (T ** l - Q ** (a + 1))
+    return RatFunc(num, den)
+
+
+def test_expand_matches_garsia_haiman_closed_form(cache):
+    for n in range(1, 6):
+        expected = {mu: _garsia_haiman_en(mu) for mu in partitions(n)}
+        assert expand_in_htilde(SymFunc.e(n), cache) == expected
+
+
+def test_expansion_fails_back_substitution_on_a_tampered_table():
+    c = MacdonaldCache()
+    table = c.degree(3)
+    table[(2, 1)] = table[(2, 1)] + table[(3,)]
+    with pytest.raises(MacdonaldError, match="back-substitution"):
+        expand_in_htilde(SymFunc.e(3), c)
 
 
 def test_delta_examples(cache):
@@ -221,21 +245,22 @@ _FACTORS = (Q - T, ONE - Q, ONE - T, Q ** 2 - T, Q - T ** 3, ONE - Q * T,
 
 
 @st.composite
+def ratfuncs(draw):
+    """A random element of Q(q,t) whose denominator is a product of _FACTORS."""
+    num = MultiPoly(draw(st.lists(
+        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+        max_size=3)))
+    den = ONE
+    for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=3)):
+        den = den * f
+    return RatFunc(num, den)
+
+
+@st.composite
 def h_coeffs(draw, n):
     """Random c_mu for the shapes of degree n, with mixed denominators."""
-    out = {}
-    for mu in partitions(n):
-        if not draw(st.booleans()):
-            continue
-        num = MultiPoly(draw(st.lists(
-            st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                      st.fractions(min_value=-3, max_value=3, max_denominator=2)),
-            max_size=3)))
-        den = ONE
-        for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=3)):
-            den = den * f
-        out[mu] = RatFunc(num, den)
-    return out
+    return {mu: draw(ratfuncs()) for mu in partitions(n) if draw(st.booleans())}
 
 
 def _per_term_sum(coeffs, rows):
@@ -250,6 +275,19 @@ def _per_term_sum(coeffs, rows):
 
 def _exact(coeffs):
     return {key: (c.num.terms, c.den.terms) for key, c in coeffs.items()}
+
+
+_SHAPES_TO_4 = [lam for n in range(5) for lam in partitions(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_h_expansion_reconstructs_f(cache, data):
+    basis = data.draw(st.sampled_from(["m", "e", "h", "p", "s"]))
+    shapes = data.draw(st.lists(st.sampled_from(_SHAPES_TO_4), min_size=1,
+                                max_size=4, unique=True))
+    f = SymFunc(basis, {lam: data.draw(ratfuncs()) for lam in shapes})
+    assert from_h_expansion(expand_in_htilde(f, cache), cache) == f
 
 
 @settings(max_examples=40, deadline=None)
