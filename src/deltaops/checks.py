@@ -19,13 +19,10 @@ from .config import Config
 from .partitions import compositions, hook, partitions
 from .poly import (
     MultiPoly,
-    ONE,
     Q,
     RatFunc,
-    T,
     W,
     Z,
-    cyclotomic,
     poly_divides,
     q_lucas_check,
     qbinom,
@@ -42,7 +39,6 @@ from .symfunc import (
 )
 from .macdonald import (
     MacdonaldCache,
-    default_cache,
     delta,
     delta_h,
     delta_identity_check,
@@ -437,28 +433,32 @@ def check_bijections(cfg: Config, cache: MacdonaldCache):
         ok_phi = ok_psi = True
         detail = ""
         try:
-            for a, labels in P.labeled_paths(n, n):
-                falls = P.fall_cols(a)
+            for a in P.dyck_paths(n):
+                # (F, area of phi's image) for every set F of double falls.
                 cols = P.col_areas(a)
-                dv = P.dinv(a, labels)
-                carea = sum(cols)
-                for size in range(len(falls) + 1):
-                    for F in itertools.combinations(falls, size):
+                falls = P.fall_cols(a)
+                decorations = [
+                    (F, sum(cols) - sum(cols[j - 1] for j in F))
+                    for size in range(len(falls) + 1)
+                    for F in itertools.combinations(falls, size)
+                ]
+                area = P.area(a)
+                for labels in P.label_vectors(a, n):
+                    dvec = P.d_vector(a, labels)
+                    dv = sum(dvec)
+                    for F, farea in decorations:
                         sp = P.phi(a, labels, F)
                         if (P.phi_inverse(sp) != (a, labels, F)
-                                or sp.area() != carea - sum(cols[j - 1] for j in F)
-                                or sp.hdinv() != dv):
+                                or sp.area() != farea or sp.hdinv() != dv):
                             ok_phi = False
-                dvec = P.d_vector(a, labels)
-                vals = P.val_rows(a, labels)
-                tot = sum(dvec)
-                for size in range(len(vals) + 1):
-                    for V in itertools.combinations(vals, size):
-                        sp = P.psi(a, labels, V)
-                        if (P.psi_inverse(sp) != (a, labels, V)
-                                or sp.area() != P.area(a)
-                                or sp.wdinv() != tot - sum(dvec[i - 1] + 1 for i in V)):
-                            ok_psi = False
+                    vals = P.val_rows(a, labels)
+                    for size in range(len(vals) + 1):
+                        for V in itertools.combinations(vals, size):
+                            sp = P.psi(a, labels, V)
+                            if (P.psi_inverse(sp) != (a, labels, V)
+                                    or sp.area() != area
+                                    or sp.wdinv() != dv - sum(dvec[i - 1] + 1 for i in V)):
+                                ok_psi = False
         except ValueError as exc:
             ok_phi = ok_psi = False
             detail = str(exc)
@@ -498,8 +498,8 @@ def check_bijections(cfg: Config, cache: MacdonaldCache):
                         ok = False
                         detail = f"failed at {O.emit_blocks(pi)}"
                     images.add(d)
-                target = {d for d in P.dense_paths(n, k, len(alpha))
-                          if d.content_key() == alpha and d.wdinv() == 0}
+                target = {d for d in P.dense_paths(n, k, len(alpha), content=alpha)
+                          if d.wdinv() == 0}
                 if images != target:
                     ok = False
                     detail = f"image mismatch at alpha={alpha} k={k}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import CHECKS, run_check, run_suite
+from .checks import CHECKS, run_suite
 from .config import CAP_FIELDS, Config
 from .macdonald import MacdonaldCache, MacdonaldError
 

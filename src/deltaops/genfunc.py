@@ -18,12 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .partitions import partitions, sort_to_partition
+from .partitions import sort_to_partition
 from .poly import MultiPoly, RatFunc, qtint
 from .symfunc import (
     SymFunc,
     expand_basis_elem,
-    expand_vars,
     from_expansion,
     plethysm,
 )

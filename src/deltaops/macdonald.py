@@ -20,7 +20,6 @@ import itertools
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from functools import lru_cache
 
 from .config import ENV_CACHE_DIR
@@ -38,7 +37,6 @@ from .symfunc import (
     SymFunc,
     alphabet_from_poly,
     convert,
-    expand_vars,
     from_expansion,
     hall_inner,
     plethysm,

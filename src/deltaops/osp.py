@@ -11,9 +11,8 @@ path with zero wdinv.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
-from .paths import DensePath, east_square_slots, x_positions
+from .paths import DensePath, dense_shape
 
 OSP = tuple  # tuple of frozensets
 
@@ -199,9 +198,9 @@ class _DenseBuilder:
 
     def finish(self, n: int) -> DensePath:
         a = tuple(r - self.nx[r] for r in range(len(self.nx)))
-        slots = east_square_slots(a)
         east = tuple(
-            (pos, frozenset(self.east.get(pos, ()))) for pos in sorted(slots)
+            (pos, frozenset(self.east.get(pos, ())))
+            for pos in dense_shape(a).sorted_slots
         )
         dp = DensePath(a, tuple(frozenset(s) for s in self.nlab), east)
         dp.check(n)
@@ -285,25 +284,21 @@ def gamma_inverse(dp: DensePath) -> OSP:
     if dp.wdinv() != 0:
         raise ValueError("gamma inverse needs wdinv = 0")
     check_gamma_image_condition(dp)
-    nx = list(x_positions(dp.a))
+    nx = list(dense_shape(dp.a).xs)
     nlab = [set(s) for s in dp.north]
     east = {pos: set(s) for pos, s in dp.east if s}
     blocks = []
 
-    def slots_for_row(row: int) -> list:
-        x0 = nx[row - 1]
-        hi = nx[row] if row < len(nx) else row
-        hi = min(hi, row - 1)
-        return [(x, row - 1 - x) for x in range(x0 + 1, hi + 1)]
-
     def rehome(area: int, vals: set) -> None:
+        """Put vals into the highest east square of this area on the rows left."""
         if not vals:
             return
-        for row in range(len(nx), 0, -1):
-            for x, a in slots_for_row(row):
-                if a == area:
-                    east.setdefault((x, row), set()).update(vals)
-                    return
+        # The rows left form the path dp.a[:len(nx)]; a row has at most one
+        # east square of a given area, so the last match is the highest.
+        for x, row in reversed(dense_shape(dp.a[:len(nx)]).slots):
+            if row - 1 - x == area:
+                east.setdefault((x, row), set()).update(vals)
+                return
         raise ValueError("no east square left for displaced entries")
 
     while nx:
@@ -346,7 +341,7 @@ def gamma_inverse(dp: DensePath) -> OSP:
 def check_gamma_image_condition(dp: DensePath) -> None:
     """Every nonempty east square is adjacent to one of the two lowest north
     squares at its level or lies in the top row."""
-    nx = x_positions(dp.a)
+    nx = dense_shape(dp.a).xs
     top = len(dp.a)
     by_area: dict = {}
     for r in range(top):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +127,7 @@ def x_positions(a: tuple) -> tuple:
     return tuple(i - a[i] for i in range(len(a)))
 
 
+@lru_cache(maxsize=None)
 def fall_cols(a: tuple) -> tuple:
     """Columns j (1-based, j <= n-1) whose east step precedes another east step."""
     xs = set(x_positions(a))
@@ -165,6 +168,18 @@ def stacks(n: int, k: int) -> tuple:
     return tuple((1,) + rest for rest in itertools.combinations(range(2, n + 1), k))
 
 
+@lru_cache(maxsize=None)
+def _stack_cols(diag: tuple, n: int) -> tuple:
+    """The stack column (0-based) of each of the n rows of a leaning stack."""
+    out = []
+    c = -1
+    for i in range(1, n + 1):
+        if i in diag:
+            c += 1
+        out.append(c)
+    return tuple(out)
+
+
 class StackPath:
     """A labeled path against a leaning stack.
 
@@ -202,30 +217,19 @@ class StackPath:
 
     def cols(self) -> tuple:
         """col(i): the stack column of each row (0-based)."""
-        out = []
-        c = -1
-        diag = set(self.diag)
-        for i in range(1, len(self.a) + 1):
-            if i in diag:
-                c += 1
-            out.append(c)
-        return tuple(out)
+        return _stack_cols(self.diag, len(self.a))
 
     def xs(self) -> tuple:
         if self._xs is None:
-            cols = self.cols()
-            a = self.a
-            self._xs = tuple(cols[i] - a[i] for i in range(len(a)))
+            self._xs = tuple(map(sub, self.cols(), self.a))
         return self._xs
 
     def h_vector(self) -> tuple:
         """h_i: height of each label above the bottom stack square of its column."""
         if self._hv is None:
-            xs = self.xs()
-            bottom: dict = {}
-            for i, c in enumerate(self.cols()):
-                bottom.setdefault(c, i + 1)
-            self._hv = tuple(i + 1 - bottom[xs[i]] for i in range(len(self.a)))
+            # Stack column c starts at row diag[c].
+            diag = self.diag
+            self._hv = tuple(i + 1 - diag[x] for i, x in enumerate(self.xs()))
         return self._hv
 
     def area(self) -> int:
@@ -319,26 +323,21 @@ def phi(a: tuple, labels: tuple, falls: tuple) -> StackPath:
         raise ValueError("decoration is not a subset of the double falls")
     diag = tuple(m for m in range(1, n + 1) if m - 1 not in fset)
     dpos = {row: idx for idx, row in enumerate(diag)}
-    xs = []
+    cols = _stack_cols(diag, n)
+    new_a = []
     for i in range(n):
         b = i + 1 - a[i]
         if b not in dpos:
             raise ValueError("fall decoration does not produce a stack path")
-        xs.append(dpos[b])
-    sp_cols = []
-    c = -1
-    for i in range(1, n + 1):
-        if i in diag:
-            c += 1
-        sp_cols.append(c)
-    new_a = tuple(sp_cols[i] - xs[i] for i in range(n))
-    return StackPath(diag, new_a, tuple(labels))
+        new_a.append(cols[i] - dpos[b])
+    return StackPath(diag, tuple(new_a), tuple(labels))
 
 
 def phi_inverse(sp: StackPath) -> tuple:
     """(a, labels, falls) recovering the fall-decorated path (a = h-vector)."""
     a = sp.h_vector()
-    falls = tuple(m - 1 for m in range(2, sp.n + 1) if m not in set(sp.diag))
+    dset = set(sp.diag)
+    falls = tuple(m - 1 for m in range(2, sp.n + 1) if m not in dset)
     if not set(falls) <= set(fall_cols(a)):
         raise ValueError("stack path is not a phi image")
     return a, sp.labels, falls
@@ -354,7 +353,8 @@ def psi(a: tuple, labels: tuple, valleys: tuple) -> StackPath:
 
 
 def psi_inverse(sp: StackPath) -> tuple:
-    valleys = tuple(m for m in range(2, sp.n + 1) if m not in set(sp.diag))
+    dset = set(sp.diag)
+    valleys = tuple(m for m in range(2, sp.n + 1) if m not in dset)
     a, labels = sp.a, sp.labels
     if not set(valleys) <= set(val_rows(a, labels)):
         raise ValueError("stack path is not a psi image")
@@ -364,6 +364,35 @@ def psi_inverse(sp: StackPath) -> tuple:
 # ---------------------------------------------------------------------------
 # densely labeled Dyck paths
 # ---------------------------------------------------------------------------
+
+class DenseShape(NamedTuple):
+    """The squares of a short Dyck path that a dense path can label."""
+
+    xs: tuple            # x_positions of the short path
+    slots: tuple         # east squares (x, row), in row order
+    sorted_slots: tuple  # the same squares sorted, the order of DensePath.east
+    squares: tuple       # (x, row, is_north) for every square, in row order
+
+
+@lru_cache(maxsize=None)
+def dense_shape(a: tuple) -> DenseShape:
+    """The per-shape table of the short path `a`, shared by all its labelings.
+
+    Row r + 1 has its north square at x = xs[r] and east squares at
+    x = xs[r] + 1 up to the next row's north square (up to m = len(a) in the
+    top row), never past the diagonal: x <= r.
+    """
+    xs = x_positions(a)
+    m = len(a)
+    squares = []
+    for r in range(m):
+        squares.append((xs[r], r + 1, True))
+        hi = min(xs[r + 1] if r + 1 < m else m, r)
+        for x in range(xs[r] + 1, hi + 1):
+            squares.append((x, r + 1, False))
+    slots = tuple((x, row) for x, row, is_north in squares if not is_north)
+    return DenseShape(xs, slots, tuple(sorted(slots)), tuple(squares))
+
 
 @dataclass(frozen=True)
 class DensePath:
@@ -384,69 +413,57 @@ class DensePath:
     def east_dict(self) -> dict:
         return dict(self.east)
 
-    def entries(self) -> list:
-        """(value, area, x, row, north-square-minimum) for every label entry.
-
-        Only north-square minima open wdinv pairs: they are exactly the diag
-        rows of the stack picture, which is what the statistic transport
-        through the contraction map requires.
-        """
-        xs = x_positions(self.a)
-        out = []
-        for r, s in enumerate(self.north):
-            for v in s:
-                out.append((v, r - xs[r], xs[r], r + 1, v == min(s)))
-        for (x, row), s in self.east:
-            for v in s:
-                out.append((v, row - 1 - x, x, row, False))
-        return out
-
     def area(self) -> int:
-        return sum(e[1] for e in self.entries())
+        xs = dense_shape(self.a).xs
+        total = sum(len(s) * (r - xs[r]) for r, s in enumerate(self.north))
+        return total + sum(len(s) * (row - 1 - x) for (x, row), s in self.east)
 
     def wdinv(self) -> int:
-        xs = x_positions(self.a)
-        vals: list = []
-        areas: list = []
-        pos: list = []
-        openers: list = []
-        east_entries = 0
+        """Pairs (m, v), less one per east entry: m is the minimum of a north
+        square and v an entry right of it, with v > m at the same area or
+        v < m one area lower.
+
+        Only north-square minima open pairs: they are exactly the diag rows
+        of the stack picture, which is what the statistic transport through
+        the contraction map requires.
+        """
+        xs = dense_shape(self.a).xs
+        by_area: dict = {}  # area -> [(x, value)] over every entry
         for r, s in enumerate(self.north):
-            lo = min(s)
+            x = xs[r]
+            entries = by_area.setdefault(r - x, [])
             for v in s:
-                if v == lo:
-                    openers.append(len(vals))
-                vals.append(v)
-                areas.append(r - xs[r])
-                pos.append(xs[r])
-        for (x, row), s in self.east:
-            east_entries += len(s)
-            for v in s:
-                vals.append(v)
-                areas.append(row - 1 - x)
-                pos.append(x)
+                entries.append((x, v))
         count = 0
-        total = len(vals)
-        for i in openers:
-            r, ra, rx = vals[i], areas[i], pos[i]
-            for j in range(total):
-                if rx < pos[j]:
-                    s, sa = vals[j], areas[j]
-                    if (r < s and ra == sa) or (r > s and ra == sa + 1):
-                        count += 1
-        return count - east_entries
+        for (x, row), s in self.east:
+            if s:
+                count -= len(s)
+                entries = by_area.setdefault(row - 1 - x, [])
+                for v in s:
+                    entries.append((x, v))
+        for r, s in enumerate(self.north):
+            x = xs[r]
+            ra = r - x
+            lo = min(s)
+            for sx, v in by_area[ra]:
+                if sx > x and v > lo:
+                    count += 1
+            for sx, v in by_area.get(ra - 1, ()):
+                if sx > x and v < lo:
+                    count += 1
+        return count
 
     def content_key(self) -> tuple:
-        values = [v for v, *_ in self.entries()]
-        top = max(values)
-        exps = [0] * top
+        values = [v for s in self.north for v in s]
+        values += [v for _, s in self.east for v in s]
+        exps = [0] * max(values)
         for v in values:
             exps[v - 1] += 1
         return tuple(exps)
 
     def column_chains(self) -> dict:
         """{x: [(row, labelset), ...] bottom to top} over all boundary squares."""
-        xs = x_positions(self.a)
+        xs = dense_shape(self.a).xs
         chains: dict = {}
         for r, s in enumerate(self.north):
             chains.setdefault(xs[r], []).append((r + 1, s))
@@ -467,19 +484,6 @@ class DensePath:
                 prev = max(s)
         if sum(len(s) for s in self.north) + sum(len(s) for _, s in self.east) != n:
             raise ValueError("wrong total label count")
-
-
-def east_square_slots(a: tuple) -> tuple:
-    """(x, row) positions of the east squares of a short Dyck path."""
-    xs = x_positions(a)
-    m = len(a)
-    out = []
-    for r in range(m):
-        hi = xs[r + 1] if r + 1 < m else m
-        hi = min(hi, r + 1 - 1)
-        for x in range(xs[r] + 1, hi + 1):
-            out.append((x, r + 1))
-    return tuple(out)
 
 
 def theta(sp: StackPath, validate: bool = False) -> DensePath:
@@ -503,8 +507,8 @@ def theta(sp: StackPath, validate: bool = False) -> DensePath:
             else:
                 east.setdefault((x, r + 1), []).append(labels[i - 1])
         north.append(frozenset(ns))
-    slots = east_square_slots(short_a)
-    east_full = tuple((pos, frozenset(east.get(pos, ()))) for pos in sorted(slots))
+    east_full = tuple((pos, frozenset(east.get(pos, ())))
+                      for pos in dense_shape(short_a).sorted_slots)
     dp = DensePath(short_a, tuple(north), east_full)
     if validate:
         dp.check(n)
@@ -512,86 +516,86 @@ def theta(sp: StackPath, validate: bool = False) -> DensePath:
 
 
 def theta_inverse(dp: DensePath) -> StackPath:
-    xs_short = x_positions(dp.a)
+    """Expand each square's label set into rows, in the order of the squares."""
     east = dp.east_dict()
-    diag = []
-    a = []
-    labels = []
-    row = 0
-    for r in range(dp.order()):
-        diag.append(row + 1)
-        for v in sorted(dp.north[r]):
-            row += 1
-            a.append(r - xs_short[r])
-            labels.append(v)
-        hi = xs_short[r + 1] if r + 1 < dp.order() else dp.order()
-        hi = min(hi, r)
-        for x in range(xs_short[r] + 1, hi + 1):
-            for v in sorted(east.get((x, r + 1), ())):
-                row += 1
-                a.append(r - x)
-                labels.append(v)
+    north = dp.north
+    diag: list = []
+    a: list = []
+    labels: list = []
+    for x, row, is_north in dense_shape(dp.a).squares:
+        if is_north:
+            diag.append(len(labels) + 1)
+            vals = north[row - 1]
+        else:
+            vals = east.get((x, row))
+            if not vals:
+                continue
+        a += [row - 1 - x] * len(vals)
+        labels += sorted(vals)
     return StackPath(tuple(diag), tuple(a), tuple(labels))
 
 
-def dense_paths(n: int, k: int, N: int | None = None):
+def dense_paths(n: int, k: int, N: int | None = None, content: tuple | None = None):
     """All densely labeled paths with n entries from 1..N on order-(k+1) paths.
 
     Squares are filled in row order with a per-column floor, so the
     column-increase rule prunes the search instead of filtering afterwards.
+    With `content` (a content key: value v appears content[v-1] times, the
+    last part nonzero) only the paths with that content_key are made, in the
+    same order: a square is offered only the values that have copies left.
     """
     if N is None:
         N = n
+    left = None
+    if content is not None:
+        content = tuple(content)
+        if (sum(content) != n or len(content) > N or not content
+                or content[-1] == 0 or min(content) < 0):
+            return
+        left = [0, *content] + [0] * (N - len(content))  # left[v], v = 1..N
     for a in dyck_paths(k + 1):
-        xs = x_positions(a)
-        m = len(a)
-        squares = []  # (x, row, is_north) in row-major order
-        for r in range(m):
-            squares.append((xs[r], r + 1, True))
-            hi = xs[r + 1] if r + 1 < m else m
-            hi = min(hi, r)
-            for x in range(xs[r] + 1, hi + 1):
-                squares.append((x, r + 1, False))
-        norths_after = [0] * (len(squares) + 1)
-        for i in range(len(squares) - 1, -1, -1):
-            norths_after[i] = norths_after[i + 1] + (1 if squares[i][2] else 0)
-        slots = tuple(sq[:2] for sq in squares if not sq[2])
+        shape = dense_shape(a)
+        squares = shape.squares
+        nsq = len(squares)
+        norths_after = [0] * (nsq + 1)
+        for i in range(nsq - 1, -1, -1):
+            norths_after[i] = norths_after[i + 1] + squares[i][2]
+        north_idx = [i for i, sq in enumerate(squares) if sq[2]]
+        east_idx = [squares.index(pos + (False,)) for pos in shape.sorted_slots]
+        sorted_slots = shape.sorted_slots
 
         def rec(idx, remaining, floor, acc):
-            if idx == len(squares):
+            if idx == nsq:
                 if remaining == 0:
-                    yield tuple(acc)
+                    yield DensePath(a, tuple(acc[i] for i in north_idx),
+                                    tuple(zip(sorted_slots, [acc[i] for i in east_idx])))
                 return
-            x, row, is_north = squares[idx]
+            x, _, is_north = squares[idx]
             base = floor.get(x, 0)
-            lo_size = 1 if is_north else 0
             hi_size = remaining - norths_after[idx + 1]
-            for size in range(lo_size, hi_size + 1):
-                if size == 0:
-                    acc.append(frozenset())
-                    yield from rec(idx + 1, remaining, floor, acc)
-                    acc.pop()
-                    continue
-                for combo in itertools.combinations(range(base + 1, N + 1), size):
+            if not is_north:
+                acc.append(frozenset())
+                yield from rec(idx + 1, remaining, floor, acc)
+                acc.pop()
+            if left is None:
+                pool = range(base + 1, N + 1)
+            else:
+                pool = [v for v in range(base + 1, N + 1) if left[v]]
+            for size in range(1, hi_size + 1):
+                for combo in itertools.combinations(pool, size):
+                    if left is not None:
+                        for v in combo:
+                            left[v] -= 1
                     acc.append(frozenset(combo))
-                    old = floor.get(x, 0)
                     floor[x] = combo[-1]
                     yield from rec(idx + 1, remaining - size, floor, acc)
-                    if old:
-                        floor[x] = old
-                    else:
-                        del floor[x]
                     acc.pop()
+                    if left is not None:
+                        for v in combo:
+                            left[v] += 1
+                floor[x] = base
 
-        for filled in rec(0, n, {}, []):
-            norths = []
-            easts = {}
-            for sq, s in zip(squares, filled):
-                if sq[2]:
-                    norths.append(s)
-                else:
-                    easts[sq[:2]] = s
-            yield DensePath(a, tuple(norths), tuple((pos, easts[pos]) for pos in sorted(slots)))
+        yield from rec(0, n, {}, [])
 
 
 # ---------------------------------------------------------------------------

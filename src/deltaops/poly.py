@@ -21,7 +21,6 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from math import comb, gcd as int_gcd
 from operator import add, sub

@@ -19,14 +19,13 @@ from functools import lru_cache
 
 from .partitions import (
     check_partition,
-    conjugate,
     partition_from_text,
     partition_text,
     partitions,
     reverse_lex_sorted,
     sort_to_partition,
 )
-from .poly import MultiPoly, ONE, RatFunc, ZERO, _as_rat
+from .poly import MultiPoly, RatFunc, _as_rat
 
 CLASSICAL_BASES = ("m", "e", "h", "p", "s")
 

@@ -5,16 +5,14 @@ criteria run at n <= 6 and the combinatorial sweeps at n <= 8, so the whole
 module is the long pole of the test suite (on the order of fifteen minutes).
 """
 
-import itertools
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
 import deltaops.osp as O
-import deltaops.paths as P
 import deltaops.xy as X
-from deltaops.checks import run_suite
+from deltaops.checks import run_check, run_suite
 from deltaops.config import Config
 from deltaops.genfunc import (
     cat4,
@@ -79,6 +77,7 @@ SYM_CAP = 7       # symmetry sweeps
 OMP_CAP = 6       # coefficient identities over compositions
 EQUI_CAP = 7      # four-statistic equidistribution
 GAMMA_CAP = 6     # insertion bijection
+BIJ_CAP = 6       # phi, psi and theta sweeps
 XY_CAP = 10       # two-column diagrams
 
 
@@ -258,54 +257,14 @@ def test_criterion_09_equidistribution(cache):
 
 
 def test_criterion_10_bijection_suite(cache):
-    ok = True
-    for n in range(1, 7):
-        for a, labels in P.labeled_paths(n, n):
-            falls = P.fall_cols(a)
-            cols = P.col_areas(a)
-            dv = P.dinv(a, labels)
-            carea = sum(cols)
-            for size in range(len(falls) + 1):
-                for F in itertools.combinations(falls, size):
-                    sp = P.phi(a, labels, F)
-                    if (P.phi_inverse(sp) != (a, labels, F)
-                            or sp.area() != carea - sum(cols[j - 1] for j in F)
-                            or sp.hdinv() != dv):
-                        ok = False
-            dvec = P.d_vector(a, labels)
-            vals = P.val_rows(a, labels)
-            tot = sum(dvec)
-            for size in range(len(vals) + 1):
-                for V in itertools.combinations(vals, size):
-                    sp = P.psi(a, labels, V)
-                    if (P.psi_inverse(sp) != (a, labels, V)
-                            or sp.area() != P.area(a)
-                            or sp.wdinv() != tot - sum(dvec[i - 1] + 1 for i in V)):
-                        ok = False
-        for k in range(0, n):
-            nstack = 0
-            for sp in P.stack_paths(n, k, n):
-                nstack += 1
-                dp = P.theta(sp)
-                if (P.theta_inverse(dp) != sp or dp.area() != sp.area()
-                        or dp.wdinv() != sp.wdinv()):
-                    ok = False
-            ndense = 0
-            for dp in P.dense_paths(n, k, n):
-                ndense += 1
-                if P.theta(P.theta_inverse(dp)) != dp:
-                    ok = False
-            if nstack != ndense:
-                ok = False
-    for n in range(1, GAMMA_CAP + 1):
-        for alpha in compositions(n):
-            for k in range(1, n + 1):
-                for pi in O.enumerate_osp(alpha, k):
-                    d = O.gamma(pi)
-                    if (d.wdinv() != 0 or d.area() != O.minimaj(pi)
-                            or O.gamma_inverse(d) != pi):
-                        ok = False
-    report("10 (phi/psi/theta exhaustive n <= 6; gamma |alpha| <= 6)", ok)
+    cfg = Config.full(cache_dir=cache.directory, bij_cap=BIJ_CAP, gamma_cap=GAMMA_CAP)
+    results = run_check("bijections", cfg, cache).results
+    assert results
+    failed = [r.line() for r in results if not r.ok]
+    for line in failed:
+        print(line)
+    report(f"10 (phi/psi/theta exhaustive n <= {BIJ_CAP}; gamma |alpha| <= {GAMMA_CAP})",
+           not failed)
 
 
 def test_criterion_11_catalan_suite(cache):

@@ -92,8 +92,8 @@ def test_gamma_surjective_onto_zero_wdinv():
         for alpha in compositions(n):
             for k in range(0, n):
                 images = {gamma(pi) for pi in enumerate_osp(alpha, k + 1)}
-                target = {d for d in P.dense_paths(n, k, len(alpha))
-                          if d.content_key() == alpha and d.wdinv() == 0}
+                target = {d for d in P.dense_paths(n, k, len(alpha), content=alpha)
+                          if d.wdinv() == 0}
                 assert images == target
 
 

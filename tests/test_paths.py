@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import deltaops.paths as P
+from deltaops.partitions import compositions
 
 
 def test_dyck_enumeration():
@@ -123,6 +124,47 @@ def test_theta_bijective_small():
                 images.add(dp)
             direct = set(P.dense_paths(n, k, n))
             assert images == direct
+
+
+def test_dense_paths_by_content_match_the_filtered_enumeration():
+    for n in range(1, 6):
+        for k in range(n):
+            for N in range(1, n + 1):
+                by_key: dict = {}
+                for d in P.dense_paths(n, k, N):
+                    by_key.setdefault(d.content_key(), []).append(d)
+                # Every content met, weak ones included, and every composition.
+                alphas = set(by_key) | {a for a in compositions(n) if len(a) <= N}
+                for alpha in alphas:
+                    got = list(P.dense_paths(n, k, N, content=alpha))
+                    assert got == by_key.get(alpha, []), (n, k, N, alpha)
+
+
+def test_dense_paths_by_content_yield_nothing_for_foreign_contents():
+    assert list(P.dense_paths(3, 1, 3, content=(1, 1))) == []       # sum 2, not 3
+    assert list(P.dense_paths(3, 1, 3, content=(1, 2, 1))) == []    # sum 4, not 3
+    assert list(P.dense_paths(3, 1, 2, content=(1, 1, 1))) == []    # longer than N
+    assert list(P.dense_paths(3, 1, 3, content=(2, 1, 0))) == []    # no content_key
+    assert list(P.dense_paths(3, 1, 3, content=(2, 1))) != []
+
+
+def test_dense_shape_matches_a_direct_recomputation():
+    for m in range(1, 7):
+        for a in P.dyck_paths(m):
+            xs = tuple(r - a[r] for r in range(m))
+            squares = []
+            for r in range(m):
+                squares.append((xs[r], r + 1, True))
+                top = xs[r + 1] if r + 1 < m else m
+                for x in range(xs[r] + 1, min(top, r) + 1):
+                    squares.append((x, r + 1, False))
+            slots = [(x, row) for x, row, north in squares if not north]
+            shape = P.dense_shape(a)
+            assert shape.xs == xs == P.x_positions(a)
+            assert shape.squares == tuple(squares)
+            assert shape.slots == tuple(slots)
+            assert shape.sorted_slots == tuple(sorted(slots))
+            assert all(row - 1 - x >= 0 for x, row in slots)
 
 
 def test_dense_validity():
