@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -33,6 +32,7 @@ from .symfunc import (
     convert,
     expand_vars,
     from_expansion,
+    plethysm,
     qsym_coeff,
     schur_expand,
     symmetry_violation,
@@ -42,7 +42,6 @@ from .macdonald import (
     delta,
     delta_h,
     delta_identity_check,
-    delta_prime,
     delta_t_recip,
     expand_in_htilde,
     h_inner_table,
@@ -52,6 +51,7 @@ from .macdonald import (
     validate_degree,
     validate_htilde_inner_products,
     validate_htilde_symmetry,
+    x_qint_alphabet,
 )
 from . import genfunc as G
 from . import osp as O
@@ -82,7 +82,6 @@ class CheckResult:
 @dataclass
 class Report:
     results: list = field(default_factory=list)
-    seconds: dict = field(default_factory=dict)
 
     def extend(self, results) -> None:
         self.results.extend(results)
@@ -130,9 +129,10 @@ def _progress(msg: str) -> None:
 # shared helpers (memoized on the cache object)
 # ---------------------------------------------------------------------------
 
-def _delta_prime_en(n: int, k: int, cache: MacdonaldCache) -> SymFunc:
-    return cache.memo(("dprime_en", n, k),
-                      lambda: delta_prime(SymFunc.e(k), SymFunc.e(n), cache))
+def _delta_en(n: int, k: int, cache: MacdonaldCache, prime: bool) -> SymFunc:
+    """Delta_{e_k} e_n, or Delta'_{e_k} e_n with prime=True."""
+    return cache.memo(("delta_en", n, k, prime),
+                      lambda: delta(SymFunc.e(k), SymFunc.e(n), cache, prime=prime))
 
 
 def _inner_table(n: int, g: SymFunc, key: str, cache: MacdonaldCache) -> dict:
@@ -158,7 +158,7 @@ def check_delta_rise(cfg: Config, cache: MacdonaldCache):
         for k in range(0, n):
             _progress(f"delta-rise n={n} k={k}")
             lhs = G.rise_gf(n, k, N)
-            rhs = expand_vars(_delta_prime_en(n, k, cache), N)
+            rhs = expand_vars(_delta_en(n, k, cache, prime=True), N)
             yield CheckResult(
                 "delta-rise", {"n": n, "k": k}, "conjecture", lhs == rhs,
                 "" if lhs == rhs else f"rise={lhs.to_text()} op={rhs.to_text()}",
@@ -171,7 +171,7 @@ def check_delta_valley(cfg: Config, cache: MacdonaldCache):
         for k in range(0, n):
             _progress(f"delta-valley n={n} k={k}")
             lhs = G.val_gf(n, k, N)
-            rhs = expand_vars(_delta_prime_en(n, k, cache), N)
+            rhs = expand_vars(_delta_en(n, k, cache, prime=True), N)
             yield CheckResult(
                 "delta-valley", {"n": n, "k": k}, "conjecture", lhs == rhs,
                 "" if lhs == rhs else f"val={lhs.to_text()} op={rhs.to_text()}",
@@ -223,9 +223,7 @@ def check_zero_special(cfg: Config, cache: MacdonaldCache):
                 "rise(0,q)": qsym_coeff(rise.subs({"q": 0, "t": Q}), alpha),
                 "val(q,0)": qsym_coeff(val.subs({"t": 0}), alpha),
             }
-            dp = _delta_prime_en(n, k, cache)
-            c = dp.coeffs.get(alpha, RatFunc.zero()) if dp.basis == "m" else \
-                convert(dp, "m").coeffs.get(alpha, RatFunc.zero())
+            c = _delta_en(n, k, cache, prime=True).coeffs.get(alpha, RatFunc.zero())
             try:
                 quantities["op(t=0)"] = c.subs({"t": 0}).as_poly()
                 quantities["op(q=0,t=q)"] = c.subs(
@@ -297,37 +295,32 @@ def check_t_recip(cfg: Config, cache: MacdonaldCache):
     for n in range(2, cfg.n_max_op + 1):
         for k in range(1, n):
             _progress(f"t-recip e_{k} n={n}")
-            lhs = specialize_symfunc_t_recip(delta(SymFunc.e(k), SymFunc.e(n), cache))
+            lhs = specialize_symfunc_t_recip(_delta_en(n, k, cache, prime=False))
             rhs = delta_t_recip(SymFunc.e(k), n)
             yield CheckResult("t-recip", {"f": f"e{k}", "n": n}, "theorem", lhs == rhs)
+            # The e_k display constant: q^(binom(k,2)-k(n-1)) [n choose k]_q / [k+1]_q
+            scal = RatFunc(
+                MultiPoly.monomial((comb(k, 2),)) * qbinom(n, k),
+                MultiPoly.monomial((k * (n - 1),)) * qint(k + 1),
+            )
+            body = plethysm(SymFunc.e(n), x_qint_alphabet(n, k + 1))
+            rhs = from_expansion(body, n).scale(scal)
+            yield CheckResult(
+                "t-recip", {"f": f"e{k}", "n": n, "form": "display"}, "theorem", lhs == rhs
+            )
     for n in range(1, min(5, cfg.n_max_op) + 1):
         for k in range(1, 4):
             _progress(f"t-recip h_{k} n={n}")
             lhs = specialize_symfunc_t_recip(delta(SymFunc.h(k), SymFunc.e(n), cache))
             rhs = delta_t_recip(SymFunc.h(k), n)
             yield CheckResult("t-recip", {"f": f"h{k}", "n": n}, "theorem", lhs == rhs)
-    # The e_k display constant: q^(binom(k,2)-k(n-1)) [n choose k]_q / [k+1]_q
-    for n in range(2, cfg.n_max_op + 1):
-        for k in range(1, n):
-            lhs = specialize_symfunc_t_recip(delta(SymFunc.e(k), SymFunc.e(n), cache))
-            scal = RatFunc(
-                MultiPoly.monomial((comb(k, 2),)) * qbinom(n, k),
-                MultiPoly.monomial((k * (n - 1),)) * qint(k + 1),
-            )
-            from .macdonald import x_qint_alphabet
-            from .symfunc import plethysm
-            body = plethysm(SymFunc.e(n), x_qint_alphabet(n, k + 1))
-            rhs = from_expansion(body, n).scale(scal)
-            yield CheckResult(
-                "t-recip", {"f": f"e{k}", "n": n, "form": "display"}, "theorem", lhs == rhs
-            )
 
 
 def check_schur_pos(cfg: Config, cache: MacdonaldCache):
     for n in range(2, cfg.n_max_op + 1):
         for k in range(1, n):
             _progress(f"schur-pos n={n} k={k}")
-            f = specialize_symfunc_t_recip(delta(SymFunc.e(k), SymFunc.e(n), cache))
+            f = specialize_symfunc_t_recip(_delta_en(n, k, cache, prime=False))
             f = f.scale(RatFunc.from_poly(MultiPoly.monomial((k * (n - 1) - comb(k, 2),))))
             _, rep = schur_expand(f)
             yield CheckResult(
@@ -352,7 +345,7 @@ def check_k1(cfg: Config, cache: MacdonaldCache):
     conv = cfg.qtint_convention
     for n in range(1, cfg.n_max_op + 1):
         _progress(f"k1 operator n={n}")
-        lhs = delta(SymFunc.e(1), SymFunc.e(n), cache)
+        lhs = _delta_en(n, 1, cache, prime=False)
         ok = lhs == convert(G.k1_formula(n, convention=conv), "m")
         yield CheckResult("k1", {"n": n, "side": "operator"}, "theorem", ok)
     for n in range(1, cfg.n_max_comb + 1):
@@ -644,8 +637,7 @@ def check_eh(cfg: Config, cache: MacdonaldCache):
                                       "conjecture", False, str(exc))
                     continue
                 for k in range(0, n):
-                    op = delta(SymFunc.h(ell),
-                               delta_prime(SymFunc.e(n - k - 1), SymFunc.e(n), cache),
+                    op = delta(SymFunc.h(ell), _delta_en(n, n - k - 1, cache, prime=True),
                                cache)
                     ok = gf.coeff_extract("z", k) == expand_vars(op, N)
                     yield CheckResult(
@@ -775,9 +767,7 @@ def run_check(name: str, cfg: Config, cache: MacdonaldCache | None = None) -> Re
     cache = cache if cache is not None else MacdonaldCache(cfg.cache_dir)
     runner, _, _ = CHECKS[name]
     report = Report()
-    t0 = time.monotonic()
     report.extend(runner(cfg, cache))
-    report.seconds[name] = time.monotonic() - t0
     report.sort()
     return report
 
@@ -789,6 +779,5 @@ def run_suite(cfg: Config, names=None, cache: MacdonaldCache | None = None) -> R
         _progress(f"=== {name} ===")
         sub = run_check(name, cfg, cache)
         report.extend(sub.results)
-        report.seconds.update(sub.seconds)
     report.sort()
     return report
