@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
+from math import factorial
 
 from .config import ENV_CACHE_DIR
 from .partitions import (
@@ -38,6 +39,7 @@ from .symfunc import (
     alphabet_from_poly,
     convert,
     from_expansion,
+    from_m_matrix,
     hall_inner,
     plethysm,
 )
@@ -389,31 +391,47 @@ def _dual_basis(n: int, cache: MacdonaldCache) -> tuple:
 
     The twist X -> X(1-q)(1-t) followed by omega is diagonal on power sums:
     p_lam picks up (-1)^(|lam|-len(lam)) prod (1-q^part)(1-t^part), so the
-    dual basis never needs a variable expansion.  g_mu[lam] is z_lam times
-    that factor times the p_lam coefficient of H_mu, so the pairing of
+    dual basis never needs a variable expansion.  g_mu[lam] is that factor
+    times z_lam times the p_lam coefficient of H_mu, so the pairing of
     f = sum f_lam p_lam with the dual of H_mu is sum_lam f_lam g_mu[lam], and
-    d_mu = <H_mu, dual>.  Every entry is a polynomial.
+    d_mu = <H_mu, dual> = sum_lam g_mu[lam] * (p_lam coefficient of H_mu).
+
+    Everything is integer arithmetic: z_lam times the p_lam coefficient of
+    H_mu is a sum of the integers <m_nu, p_lam> times H_mu's m_nu
+    coefficients, and d_mu is summed with the integer weights n!/z_lam (the
+    class sizes of lam) and divided by n! once.
     """
     def build():
-        twist = {}
-        for lam in partitions(n):
-            w = MultiPoly.const(_zee(lam) * (-1) ** (n - len(lam)))
+        lams = partitions(n)
+        # z_lam times the p_lam coefficient of m_nu is <m_nu, p_lam>, an integer.
+        pairing = {nu: {lam: (c * _zee(lam)).numerator for lam, c in row.items()}
+                   for nu, row in from_m_matrix("p", n).items()}
+        twist, weight = {}, {}
+        nfact = factorial(n)
+        for lam in lams:
+            w = MultiPoly.const((-1) ** (n - len(lam)))
             for part in lam:
                 qp, tp = MultiPoly.monomial((part,)), MultiPoly.monomial((0, part))
                 w = w * (ONE - qp) * (ONE - tp)
             twist[lam] = w
+            weight[lam] = nfact // _zee(lam)
         rows: dict = {}
         dens = {}
         for mu, h in cache.degree(n).items():
+            zp: dict = {}
+            for nu, c in h.coeffs.items():
+                c = c.as_poly()
+                for lam, k in pairing[nu].items():
+                    zp[lam] = zp[lam] + c * k if lam in zp else c * k
             d = MultiPoly.zero()
-            for lam, c in convert(h, "p").coeffs.items():
-                hp = c.as_poly()
-                g = hp * twist[lam]
-                rows.setdefault(lam, {})[mu] = RatFunc.from_poly(g)
-                d = d + hp * g
+            for lam in lams:
+                if lam in zp and not zp[lam].is_zero():
+                    g = zp[lam] * twist[lam]
+                    rows.setdefault(lam, {})[mu] = RatFunc.from_poly(g)
+                    d = d + zp[lam] * g * weight[lam]
             if d.is_zero():
                 raise MacdonaldError("degenerate star pairing (corrupted cache?)")
-            dens[mu] = d
+            dens[mu] = d.divexact(MultiPoly.const(nfact))
         return rows, dens
 
     return cache.memo(("dual", n), build)
@@ -454,7 +472,9 @@ def _h_sum(coeffs: dict, row) -> tuple:
     # In the c_mu order: the cost of poly_gcd_qt depends on its operands,
     # and taking the same lcm in set order made it 6x slower at n = 5.
     for d in dict.fromkeys(c.den for c, _ in rows):
-        den = den * d.divexact(poly_gcd_qt(den, d))
+        cofactors = []
+        poly_gcd_qt(den, d, cofactors)
+        den = den * cofactors[1]
     nums: dict = {}
     for c, r in rows:
         scale = c.num * den.divexact(c.den)
@@ -471,7 +491,17 @@ def from_h_expansion(coeffs: dict, cache: MacdonaldCache | None = None) -> SymFu
     cache = _cache_or_default(cache)
     one = SymFunc.one().coeffs
     nums, den = _h_sum(coeffs, lambda mu: cache.htilde(mu).coeffs if mu else one)
-    return SymFunc("m", {lam: RatFunc(num, den) for lam, num in nums.items()})
+    return SymFunc("m", {lam: _quotient(num, den) for lam, num in nums.items()})
+
+
+def _quotient(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    """num / den in reduced form, dividing first: the m-coefficients of a
+    Delta image are polynomials, so the gcd is needed only when the
+    division fails, and both routes give the one reduced form."""
+    try:
+        return RatFunc.from_poly(num.divexact(den))
+    except ValueError:
+        return RatFunc(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +573,14 @@ def delta_identity_check(n: int, k: int, cache: MacdonaldCache | None = None) ->
         return not lhs and not rhs_b
     mus = set(lhs) | set(rhs_a) | set(rhs_b)
     zero = RatFunc.zero()
-    return all(
-        lhs.get(mu, zero) == rhs_a.get(mu, zero) + rhs_b.get(mu, zero) for mu in mus
-    )
+    return all(_is_sum(lhs.get(mu, zero), rhs_a.get(mu, zero), rhs_b.get(mu, zero))
+               for mu in mus)
+
+
+def _is_sum(a: RatFunc, b: RatFunc, c: RatFunc) -> bool:
+    """a == b + c, cross-multiplied over the three denominators: the sum is
+    never reduced, so no gcd is taken."""
+    return a.num * b.den * c.den == (b.num * c.den + c.num * b.den) * a.den
 
 
 def h_inner_table(n: int, g: SymFunc, cache: MacdonaldCache | None = None) -> dict:

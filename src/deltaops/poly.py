@@ -11,9 +11,22 @@ q, slot 1 is t, slots 2-4 are z, w, u and slot 5+i is x(i+1).
 
 Rational functions (RatFunc) are restricted to the two variables q and t,
 which is all the coefficient field Q(q,t) needs.  They are kept reduced by a
-genuine bivariate gcd (content / primitive-part over Q[q], then a primitive
-pseudo-remainder sequence in t), but equality never relies on reduction
-quality: it is decided by cross-multiplication.
+genuine bivariate gcd, but equality never relies on reduction quality: it is
+decided by cross-multiplication.
+
+q,t-polynomials with int coefficients have an integer kernel:
+- products with enough term pairs are one product of Python integers
+  (Kronecker substitution, q^i t^j -> X^(i + width*j) for a power of two X
+  above every product coefficient); others go term by term;
+- exact division tries one integer division of the same images first, and
+  falls back to long division;
+- the gcd is GCDHEU (Char-Geddes-Gonnet): integer gcds of evaluations at
+  t = xi, then q = xi', rebuilt from symmetric digits and kept only when it
+  divides both operands exactly, which also gives the cofactors.  After
+  HEU_TRIES evaluation points it falls back to content / primitive part over
+  Z[q] and a primitive pseudo-remainder sequence in t.
+The term-by-term product, the long division and the PRS are the routes the
+tests compare the fast ones with.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -21,9 +34,10 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
+import struct
 from fractions import Fraction
 from math import comb, gcd as int_gcd
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 # Slot names for the five fixed variables; slot 5+i is x{i+1}.
 FIXED_VARS = ("q", "t", "z", "w", "u")
@@ -178,7 +192,7 @@ class MultiPoly:
             if s == 0:
                 data.pop(k, None)
             else:
-                data[k] = _coerce(s)
+                data[k] = s if type(s) is int else _coerce(s)
         return MultiPoly._raw(data)
 
     __radd__ = __add__
@@ -204,16 +218,10 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        zeros = (0,) * max(max(map(len, a)), max(map(len, b)))
-        pb = [(k + zeros[len(k):], c) for k, c in b.items()]
-        data = {}
-        get = data.get
-        for ka, ca in a.items():
-            ka += zeros[len(ka):]
-            for kb, cb in pb:
-                k = tuple(map(add, ka, kb))
-                data[k] = get(k, 0) + ca * cb
-        return MultiPoly._raw(_finish(data))
+        width = max(max(map(len, a)), max(map(len, b)))
+        if _use_kronecker(a, b, width):
+            return MultiPoly._raw(_kron_mul(a, b))
+        return MultiPoly._raw(_dict_mul(a, b, width))
 
     __rmul__ = __mul__
 
@@ -322,7 +330,10 @@ class MultiPoly:
     def divexact(self, d: "MultiPoly") -> "MultiPoly":
         """Exact division; raises ValueError when d does not divide self.
 
-        Long division by the lex-leading term of d.  The remainder's keys
+        Large q,t-operands with int coefficients try one integer division of
+        their Kronecker images first (_kron_quotient).  Otherwise, and when
+        that finds no quotient in Z[q,t], long division by the lex-leading
+        term of d.  The remainder's keys
         sit in a heap of negated padded keys, so each step pops the leading
         remainder term instead of rescanning the remainder; a key whose
         term cancelled stays in the heap and is skipped when popped.
@@ -334,7 +345,13 @@ class MultiPoly:
             return MultiPoly._raw({k: _coerce(c * inv) for k, c in self.terms.items()})
         if not self.terms:
             return MultiPoly.zero()
-        zeros = (0,) * max(max(map(len, d.terms)), max(map(len, self.terms)))
+        a, b = self.terms, d.terms
+        width = max(max(map(len, b)), max(map(len, a)))
+        if _use_kronecker(b, a, width):
+            quo = _kron_quotient(a, b)
+            if quo is not None:
+                return MultiPoly._raw(quo)
+        zeros = (0,) * width
         lead, dc = d.leading()
         dk = lead + zeros[len(lead):]
         tail = [(k + zeros[len(k):], c) for k, c in d.terms.items() if k != lead]
@@ -418,6 +435,140 @@ def _as_poly(v):
     return NotImplemented
 
 
+# ---------------------------------------------------------------------------
+# products: term by term, or one big-integer product (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+# A product of two q,t-polynomials with int coefficients goes through one
+# product of packed integers when it has at least KRONECKER_MIN_PAIRS term
+# pairs and its result has at most KRONECKER_SLOTS_PER_PAIR dense slots per
+# pair; every other product is taken term by term.  See CHANGES.md for the
+# measured crossover.
+KRONECKER_MIN_PAIRS = 128
+KRONECKER_SLOTS_PER_PAIR = 2
+
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _use_kronecker(a: dict, b: dict, width: int) -> bool:
+    """Whether the product of a and b, a the shorter, or the quotient of b
+    by a goes through Kronecker substitution; width is the longest key.
+
+    Only q,t-terms with int coefficients qualify.  A monomial a only shifts
+    keys, and a product with few term pairs, or with far more dense slots
+    than term pairs, is cheaper term by term.
+    """
+    pairs = len(a) * len(b)
+    if width > 2 or len(a) < 2 or pairs < KRONECKER_MIN_PAIRS:
+        return False
+    if not all(type(c) is int for c in a.values()):
+        return False
+    if not all(type(c) is int for c in b.values()):
+        return False
+    (qa, ta), (qb, tb) = _qt_degrees(a), _qt_degrees(b)
+    return (qa + qb + 1) * (ta + tb + 1) <= KRONECKER_SLOTS_PER_PAIR * pairs
+
+
+def _dict_mul(a: dict, b: dict, width: int) -> dict:
+    """Term-by-term product of two nonzero polynomials' terms."""
+    zeros = (0,) * width
+    pb = [(k + zeros[len(k):], c) for k, c in b.items()]
+    data = {}
+    get = data.get
+    for ka, ca in a.items():
+        ka += zeros[len(ka):]
+        for kb, cb in pb:
+            k = tuple(map(add, ka, kb))
+            data[k] = get(k, 0) + ca * cb
+    return _finish(data)
+
+
+_T_EXPONENT = itemgetter(slice(1, 2))
+
+
+def _qt_degrees(terms: dict) -> tuple:
+    """(degree in q, degree in t) of nonzero q,t-only terms.
+
+    Keys compare as tuples, so the largest key holds the q-degree, and the
+    largest of the slices k[1:2] the t-degree.
+    """
+    q, t = max(terms), max(map(_T_EXPONENT, terms))
+    return (q[0] if q else 0, t[0] if t else 0)
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot that hold any signed value of magnitude <= bound,
+    rounded up to a machine word size where one exists."""
+    nbytes = (bound.bit_length() + 8) // 8
+    return next((w for w in _SLOT_FORMATS if w >= nbytes), nbytes)
+
+
+def _offset(count: int, nbytes: int) -> int:
+    """sum X^s / 2 over count slots, X = 2^(8*nbytes)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+
+
+def _kron_pack(terms: dict, width: int, nbytes: int) -> int:
+    """sum c * X^(i + width*j) over the terms c q^i t^j, X = 2^(8*nbytes).
+
+    Every slot holds its coefficient plus X/2, so the slots are written as
+    unsigned digits; the offset comes off the packed value afterwards.
+    """
+    slots = [k[0] + width * k[1] if len(k) == 2 else (k[0] if k else 0)
+             for k in terms]
+    count = max(slots) + 1
+    half = 1 << (8 * nbytes - 1)
+    digits = [half] * count
+    for s, c in zip(slots, terms.values()):
+        digits[s] = half + c
+    if nbytes in _SLOT_FORMATS:
+        raw = struct.pack(f"<{count}{_SLOT_FORMATS[nbytes]}", *digits)
+    else:
+        raw = b"".join(d.to_bytes(nbytes, "little") for d in digits)
+    return int.from_bytes(raw, "little") - _offset(count, nbytes)
+
+
+def _kron_unpack(v: int, width: int, rows: int, nbytes: int) -> dict:
+    """The terms c q^i t^j of v = sum c * X^(i + width*j), X = 2^(8*nbytes),
+    with i < width, j < rows and every |c| < X/2.
+
+    Adding X/2 to every slot makes each digit nonnegative, so the slots
+    are read straight off the bytes and shifted back.
+    """
+    count = width * rows
+    half = 1 << (8 * nbytes - 1)
+    raw = (v + _offset(count, nbytes)).to_bytes(count * nbytes, "little")
+    if nbytes in _SLOT_FORMATS:
+        digits = struct.unpack(f"<{count}{_SLOT_FORMATS[nbytes]}", raw)
+    else:
+        digits = [int.from_bytes(raw[o:o + nbytes], "little")
+                  for o in range(0, len(raw), nbytes)]
+    out = {}
+    for j in range(rows):
+        for i, c in enumerate(digits[j * width:(j + 1) * width]):
+            if c != half:
+                out[(i, j) if j else (i,) if i else ()] = c - half
+    return out
+
+
+def _kron_mul(a: dict, b: dict) -> dict:
+    """Product of two nonzero q,t-polynomials with int coefficients by
+    Kronecker substitution.
+
+    q^i t^j maps to X^(i + width*j) with width one past the product's
+    q-degree, so no two product terms share a slot, and X = 2^(8*nbytes)
+    with X/2 above the largest possible product coefficient, so no slot
+    overflows into the next.
+    """
+    (qa, ta), (qb, tb) = _qt_degrees(a), _qt_degrees(b)
+    width, rows = qa + qb + 1, ta + tb + 1
+    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+             * max(map(abs, b.values())))
+    nbytes = _slot_bytes(bound)
+    prod = _kron_pack(a, width, nbytes) * _kron_pack(b, width, nbytes)
+    return _kron_unpack(prod, width, rows, nbytes)
+
+
 # Convenient generators.
 Q = MultiPoly.var("q")
 T = MultiPoly.var("t")
@@ -433,26 +584,74 @@ def xvar(i: int) -> MultiPoly:
     return MultiPoly.var(f"x{i}")
 
 
+def _kron_times_is(g: dict, f: dict, a: dict) -> bool:
+    """g * f == a for q,t-terms with int coefficients, decided on their
+    Kronecker images at one slot width that holds every coefficient."""
+    bound = min(len(g), len(f)) * max(map(abs, g.values())) * max(map(abs, f.values()))
+    nbytes = _slot_bytes(max(bound, max(map(abs, a.values()))))
+    width = max(_qt_degrees(g)[0] + _qt_degrees(f)[0], _qt_degrees(a)[0]) + 1
+    return (_kron_pack(g, width, nbytes) * _kron_pack(f, width, nbytes)
+            == _kron_pack(a, width, nbytes))
+
+
+def _kron_quotient(a: dict, g: dict, guess: dict | None = None):
+    """a / g for q,t-terms with int coefficients when g divides a in
+    Z[q,t], else None.
+
+    guess, a candidate quotient, is checked first.  Otherwise the Kronecker
+    images are divided as integers and the quotient read back from the
+    slots is checked by multiplying out: first with slots sized for the
+    coefficients of a, then above the Mignotte bound 2^(deg_q(a) +
+    deg_t(a)) * |a|_2 on any factor of a.  The images keep divisibility,
+    so a remainder proves that g does not divide a.
+    """
+    if guess and _kron_times_is(g, guess, a):
+        return guess
+    (qa, ta), (qg, tg) = _qt_degrees(a), _qt_degrees(g)
+    if qg > qa or tg > ta:
+        return None
+    height = max(max(map(abs, a.values())) * len(a), max(map(abs, g.values())))
+    for bound in (height, height << (qa + ta)):
+        nbytes = _slot_bytes(bound)
+        f, r = divmod(_kron_pack(a, qa + 1, nbytes), _kron_pack(g, qa + 1, nbytes))
+        if r:
+            return None
+        try:
+            f = _kron_unpack(f, qa + 1, ta + 1, nbytes)
+        except OverflowError:
+            continue
+        if f and _kron_times_is(g, f, a):
+            return f
+    return None
+
+
 # ---------------------------------------------------------------------------
 # gcd in Q[q,t] via content + primitive pseudo-remainder sequence in t
 # (all PRS work happens over Z to keep coefficient arithmetic on machine ints)
 # ---------------------------------------------------------------------------
 
-def _to_qt_int(p: MultiPoly) -> dict:
-    """View a q,t-polynomial as {t_exp: {q_exp: coeff}}, scaled to integer
-    coefficients (gcd ignores units)."""
+def _int_terms(p: MultiPoly) -> tuple:
+    """(terms, scale): p's terms times the lcm of its denominators, all int."""
     scale = 1
     for c in p.terms.values():
         if isinstance(c, Fraction):
             d = c.denominator
             scale = scale * d // int_gcd(scale, d)
+    if scale == 1:
+        return p.terms, 1
+    return {k: int(c * scale) for k, c in p.terms.items()}, scale
+
+
+def _to_qt_int(p: MultiPoly) -> dict:
+    """View a q,t-polynomial as {t_exp: {q_exp: coeff}}, scaled to integer
+    coefficients (gcd ignores units)."""
     out = {}
-    for k, c in p.terms.items():
+    for k, c in _int_terms(p)[0].items():
         if len(k) > 2:
             raise ValueError("polynomial not in q,t only")
         qe = k[0] if len(k) >= 1 else 0
         te = k[1] if len(k) >= 2 else 0
-        out.setdefault(te, {})[qe] = int(c * scale)
+        out.setdefault(te, {})[qe] = c
     return out
 
 
@@ -627,37 +826,175 @@ def _t_prem(a: dict, b: dict) -> dict:
     return r
 
 
-def poly_gcd_qt(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """gcd in Q[q,t], normalized with leading coefficient +1 (lex q > t)."""
+def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """gcd of two q,t-polynomials by content and primitive PRS, up to a unit."""
+    pa, pb = _to_qt_int(a), _to_qt_int(b)
+    ca, cb = _t_content(pa), _t_content(pb)
+    cg = _iu_gcd(ca, cb)
+    fa, fb = _t_primitive(pa), _t_primitive(pb)
+    if max(fa) < max(fb):
+        fa, fb = fb, fa
+    while fb:
+        r = _t_prem(fa, fb)
+        fa, fb = fb, _t_primitive(r) if r else {}
+    prim = _t_primitive(fa)
+    merged = {te: _iu_mul(row, cg) for te, row in prim.items()} if cg else prim
+    return _from_qt(merged)
+
+
+# ---------------------------------------------------------------------------
+# heuristic gcd (GCDHEU, Char-Geddes-Gonnet 1989): evaluate t, then q, at
+# integers, take an integer gcd, and rebuild the polynomial gcd from its
+# symmetric digits.  A candidate is kept only when it times its cofactors
+# gives back both operands exactly; with the evaluation point above twice
+# the smaller height, a primitive candidate that divides both operands is
+# the gcd (Geddes-Czapor-Labahn, Algorithms for Computer Algebra, 7.7).
+# ---------------------------------------------------------------------------
+
+# Evaluation points tried at each level before giving up on the heuristic;
+# each next point is about e times the last.  See CHANGES.md for how often
+# the first point already works.
+HEU_TRIES = 6
+
+
+def _content(values) -> int:
+    g = 0
+    for v in values:
+        g = int_gcd(g, v)
+        if g == 1:
+            break
+    return g
+
+
+def _first_point(a, b) -> int:
+    """The first evaluation point for coefficient values a and b: above
+    twice the smaller height plus 29, where GCDHEU needs plus 2."""
+    return 2 * min(max(map(abs, a)), max(map(abs, b))) + 30
+
+
+def _next_point(xi: int) -> int:
+    return xi * 73794 // 27011
+
+
+def _digits(v: int, xi: int) -> list:
+    """The base-xi digits d_0, d_1, ... of v with every |d| <= xi/2."""
+    out = []
+    half = xi // 2
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out
+
+
+def _evaluate(terms: dict, var: int, xi: int) -> dict:
+    """q,t-terms with variable var (0 for q, 1 for t), the last one they
+    use, set to xi."""
+    out: dict = {}
+    for k, c in terms.items():
+        e = k[var] if len(k) > var else 0
+        key = _trim(k[:var])
+        out[key] = out.get(key, 0) + c * xi ** e
+    return {k: v for k, v in out.items() if v}
+
+
+def _lift(image: dict, var: int, xi: int) -> dict:
+    """The terms whose value at variable var = xi is image, read off as
+    symmetric base-xi digits."""
+    out = {}
+    for k, v in image.items():
+        pad = k + (0,) * (var - len(k))
+        for j, d in enumerate(_digits(v, xi)):
+            if d:
+                out[_trim(pad + (j,))] = d
+    return out
+
+
+def _heu_gcd(a: dict, b: dict, var: int = 1):
+    """(g, a/g, b/g) for the gcd g in Z[q,t] of nonzero q,t-terms a and b
+    with int coefficients, or None when GCDHEU found no gcd.
+
+    Sets variable var (1 for t, then 0 for q) to xi, takes the gcd of the
+    images (one variable fewer, or integers), and lifts it and the image
+    cofactors back from their digits.
+    """
+    ka, kb = _content(a.values()), _content(b.values())
+    c = int_gcd(ka, kb)
+    pa = {k: v // ka for k, v in a.items()}
+    pb = {k: v // kb for k, v in b.items()}
+    xi = _first_point(pa.values(), pb.values())
+    for _ in range(HEU_TRIES):
+        ea, eb = _evaluate(pa, var, xi), _evaluate(pb, var, xi)
+        got = None
+        if ea and eb and var:
+            got = _heu_gcd(ea, eb, var - 1)
+        elif ea and eb:
+            h = int_gcd(ea[()], eb[()])
+            got = {(): h}, {(): ea[()] // h}, {(): eb[()] // h}
+        if got is not None:
+            gi, ai, bi = got
+            g = _lift(gi, var, xi)
+            cg = _content(g.values())
+            g = {k: v // cg for k, v in g.items()}
+            # g takes the values gi / cg at xi, so pa / g takes ai * cg.
+            fa = _kron_quotient(pa, g, _lift({k: v * cg for k, v in ai.items()}, var, xi))
+            fb = None if fa is None else _kron_quotient(
+                pb, g, _lift({k: v * cg for k, v in bi.items()}, var, xi))
+            if fb is not None:
+                return ({k: c * v for k, v in g.items()},
+                        {k: ka // c * v for k, v in fa.items()},
+                        {k: kb // c * v for k, v in fb.items()})
+        xi = _next_point(xi)
+    return None
+
+
+def _scaled(terms: dict, f) -> MultiPoly:
+    """The polynomial with terms times the rational f."""
+    if f == 1:
+        return MultiPoly._raw(terms)
+    return MultiPoly._raw({k: _coerce(v * f) for k, v in terms.items()})
+
+
+def poly_gcd_qt(a: MultiPoly, b: MultiPoly, cofactors: list | None = None) -> MultiPoly:
+    """gcd in Q[q,t], normalized with leading coefficient +1 (lex q > t).
+
+    GCDHEU first, the primitive PRS when it fails.  When cofactors is a
+    list, a/g and b/g are appended to it: the heuristic has them already,
+    so callers that reduce by g need not divide again.
+    """
+    cof = None
     if a.is_zero():
         g = b
     elif b.is_zero():
         g = a
     elif a.is_constant() or b.is_constant():
-        return MultiPoly.const(1)
+        g = ONE
     elif len(a.terms) == 1 or len(b.terms) == 1:
         keys = list(a.terms) + list(b.terms)
         width = max(len(k) for k in keys)
         mins = [min(k[i] if i < len(k) else 0 for k in keys) for i in range(width)]
         g = MultiPoly.monomial(mins)
     else:
-        pa, pb = _to_qt_int(a), _to_qt_int(b)
-        ca, cb = _t_content(pa), _t_content(pb)
-        cg = _iu_gcd(ca, cb)
-        fa, fb = _t_primitive(pa), _t_primitive(pb)
-        if max(fa) < max(fb):
-            fa, fb = fb, fa
-        while fb:
-            r = _t_prem(fa, fb)
-            fa, fb = fb, _t_primitive(r) if r else {}
-        prim = _t_primitive(fa)
-        merged = {te: _iu_mul(row, cg) for te, row in prim.items()} if cg else prim
-        g = _from_qt(merged)
-    if g.is_zero():
-        return g
-    _, lc = g.leading()
-    if lc != 1:
-        g = g.divexact(MultiPoly.const(lc))
+        (ia, sa), (ib, sb) = _int_terms(a), _int_terms(b)
+        got = _heu_gcd(ia, ib) if max(map(len, ia)) <= 2 and max(map(len, ib)) <= 2 else None
+        if got is None:
+            g = _prs_gcd(a, b)
+        else:
+            g, ca, cb = got
+            g = MultiPoly._raw(g)
+            _, lc = g.leading()
+            # a = ia / sa = (g / lc) * (lc * ca / sa)
+            cof = (_scaled(ca, Fraction(lc, sa)), _scaled(cb, Fraction(lc, sb)))
+    if not g.is_zero():
+        _, lc = g.leading()
+        if lc != 1:
+            g = g.divexact(MultiPoly.const(lc))
+    if cofactors is not None:
+        if cof is None:
+            cof = (a, b) if g.is_constant() else (a.divexact(g), b.divexact(g))
+        cofactors.extend(cof)
     return g
 
 
@@ -679,10 +1016,10 @@ def _reduce_pair(a: MultiPoly, b: MultiPoly) -> tuple:
     """(a/g, b/g) for g = gcd(a, b); cheap when either side is constant."""
     if a.is_constant() or b.is_constant() or a.is_zero() or b.is_zero():
         return a, b
-    g = poly_gcd_qt(a, b)
-    if g.is_constant():
+    cof = []
+    if poly_gcd_qt(a, b, cof).is_constant():
         return a, b
-    return a.divexact(g), b.divexact(g)
+    return tuple(cof)
 
 
 class RatFunc:
@@ -700,9 +1037,9 @@ class RatFunc:
         if num.is_zero():
             num, den = MultiPoly.zero(), MultiPoly.const(1)
         elif reduce and not den.is_constant():
-            g = poly_gcd_qt(num, den)
-            if not g.is_constant():
-                num, den = num.divexact(g), den.divexact(g)
+            cof = []
+            if not poly_gcd_qt(num, den, cof).is_constant():
+                num, den = cof
         _, lc = den.leading()
         if lc != 1:
             inv = MultiPoly.const(Fraction(1) / Fraction(lc))
@@ -771,15 +1108,16 @@ class RatFunc:
         d1, d2 = self.den, other.den
         if d1.is_constant() or d2.is_constant():
             return RatFunc._make(*_reduce_pair(self.num * d2 + other.num * d1, d1 * d2))
-        g = poly_gcd_qt(d1, d2)
+        cof = []
+        g = poly_gcd_qt(d1, d2, cof)
         if g.is_constant():
             return RatFunc._make(self.num * d2 + other.num * d1, d1 * d2)
-        e1, e2 = d1.divexact(g), d2.divexact(g)
+        e1, e2 = cof
         num = self.num * e2 + other.num * e1
-        r = poly_gcd_qt(num, g)
-        if r.is_constant():
+        cof = []
+        if poly_gcd_qt(num, g, cof).is_constant():
             return RatFunc._make(num, d1 * e2)
-        return RatFunc._make(num.divexact(r), d1.divexact(r) * e2)
+        return RatFunc._make(cof[0], e1 * cof[1] * e2)
 
     __radd__ = __add__
 

@@ -323,3 +323,76 @@ def test_hexp_inner_cancels_the_common_denominator(cache):
     got = hexp_inner(coeffs, table)
     assert _exact({(): got}) == _exact(_per_term_sum(coeffs, lambda mu: {(): table[mu]}))
     assert got == RatFunc(ONE + Q ** 2, ONE - Q)
+
+
+# -- the integer star-pairing table, the norms, and the gcd-free shortcuts ---
+
+def _fraction_dual_basis(n, cache):
+    """The star-pairing table as built before it was integer: Fraction
+    p-coefficients of H_mu times z_lam and the twist, d_mu summed directly."""
+    from deltaops.macdonald import _zee
+    rows, dens = {}, {}
+    for mu, h in cache.degree(n).items():
+        d = MultiPoly.zero()
+        for lam, c in convert(h, "p").coeffs.items():
+            w = MultiPoly.const(_zee(lam) * (-1) ** (n - len(lam)))
+            for part in lam:
+                w = w * (ONE - Q ** part) * (ONE - T ** part)
+            g = c.as_poly() * w
+            rows.setdefault(lam, {})[mu] = g
+            d = d + c.as_poly() * g
+        dens[mu] = d
+    return rows, dens
+
+
+def _exact_poly(p):
+    return {k: (type(c), c) for k, c in p.terms.items()}
+
+
+def test_integer_dual_basis_matches_the_fraction_route(cache):
+    from deltaops.macdonald import _dual_basis
+    for n in range(1, 5):
+        rows, dens = _dual_basis(n, cache)
+        want_rows, want_dens = _fraction_dual_basis(n, cache)
+        assert {lam: {mu: _exact_poly(g.num) for mu, g in row.items()}
+                for lam, row in rows.items()} == {
+            lam: {mu: _exact_poly(g) for mu, g in row.items()}
+            for lam, row in want_rows.items()}
+        assert all(g.is_poly() for row in rows.values() for g in row.values())
+        assert {mu: _exact_poly(d) for mu, d in dens.items()} == {
+            mu: _exact_poly(d) for mu, d in want_dens.items()}
+
+
+def test_star_pairing_norm_is_the_garsia_haiman_product():
+    # d_mu = w_mu = prod over cells (q^arm - t^(leg+1)) (t^leg - q^(arm+1))
+    from deltaops.macdonald import _dual_basis
+    c = MacdonaldCache()
+    for n in range(1, 6):
+        _, dens = _dual_basis(n, c)
+        for mu in partitions(n):
+            w = ONE
+            for cell in cells(mu):
+                a, l = arm(mu, cell), leg(mu, cell)
+                w = w * (Q ** a - T ** (l + 1)) * (T ** l - Q ** (a + 1))
+            assert dens[mu] == w, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), ratfuncs())
+def test_divide_first_gives_the_reduced_form(f, g):
+    # _quotient divides num by den first; the gcd route is the oracle, on a
+    # divisible pair (num = f.num * den) and on f's own, reduced, pair.
+    from deltaops.macdonald import _quotient
+    den = f.den * g.den
+    for num in (f.num * den, f.num * g.den):
+        got, want = _quotient(num, den), RatFunc(num, den)
+        assert _exact({(): got}) == _exact({(): want})
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), ratfuncs(), ratfuncs())
+def test_is_sum_matches_ratfunc_addition(a, b, c):
+    from deltaops.macdonald import _is_sum
+    assert _is_sum(a, b, c) == (a == b + c)
+    assert _is_sum(b + c, b, c)
+    assert _is_sum(a, a - c, c)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deltaops import poly as P
 from deltaops.poly import (
     MultiPoly,
     ONE,
@@ -245,3 +246,234 @@ def test_divexact_raises_when_the_divisor_does_not_divide(a, b, r):
     with pytest.raises(ValueError):
         (a * b + r).divexact(b)
 
+
+
+# -- the integer q,t kernel against the routes it replaces -------------------
+#
+# The dict product, the heap long division and the primitive PRS stay as the
+# oracles of the Kronecker product, the Kronecker quotient and GCDHEU.
+
+_COEFFS = st.one_of(st.integers(-5, 5), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def int_qt_polys(draw, max_terms=12, max_exp=5, shape="qt", coeffs=_COEFFS):
+    """Nonzero q,t-polynomials with int coefficients; shape "q" or "t" keeps
+    one variable, "const" gives a constant."""
+    if shape == "const":
+        return MultiPoly.const(draw(coeffs.filter(bool)))
+    exps = st.integers(0, max_exp)
+    key = {"qt": st.tuples(exps, exps), "q": st.tuples(exps), "t": st.tuples(st.just(0), exps)}
+    p = MultiPoly(draw(st.lists(st.tuples(key[shape], coeffs), min_size=1, max_size=max_terms)))
+    assume(not p.is_zero())
+    return p
+
+
+def _dict_product(a, b):
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    return P._dict_mul(a.terms, b.terms, 2)
+
+
+@given(int_qt_polys(), int_qt_polys())
+def test_kronecker_product_matches_dict_product(a, b):
+    # Negative coefficients and coefficients far above 2^64 (slots wider
+    # than a machine word) are both in the strategy.
+    assert P._kron_mul(a.terms, b.terms) == _dict_product(a, b)
+
+
+@given(st.sampled_from(["const", "q", "t", "qt"]), st.sampled_from(["const", "q", "t", "qt"]),
+       st.data())
+def test_kronecker_product_on_constant_and_one_variable_operands(sa, sb, data):
+    a = data.draw(int_qt_polys(shape=sa))
+    b = data.draw(int_qt_polys(shape=sb))
+    assert P._kron_mul(a.terms, b.terms) == _dict_product(a, b)
+
+
+@given(int_qt_polys(max_terms=4, max_exp=3), st.integers(1, 12), st.data())
+def test_kronecker_product_with_cancelling_terms(a, m, data):
+    # (1 - x) (1 + x + ... + x^(m-1)) = 1 - x^m for a monomial x, and
+    # a*b + (-a)*b = 0: most product slots cancel to zero.
+    i, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    assume(i or j)
+    x = MultiPoly.monomial((i, j))
+    geo = MultiPoly([((i * e, j * e), 1) for e in range(m)])
+    got = P._kron_mul((ONE - x).terms, geo.terms)
+    assert got == (ONE - x ** m).terms == _dict_product(ONE - x, geo)
+    pos, neg = P._kron_mul(a.terms, geo.terms), P._kron_mul((-a).terms, geo.terms)
+    assert MultiPoly._raw(pos) + MultiPoly._raw(neg) == ZERO
+
+
+@given(int_qt_polys(max_terms=16, max_exp=3), int_qt_polys(max_terms=16, max_exp=3))
+def test_product_dispatch_gives_the_dict_product(a, b):
+    # Whichever route MultiPoly.__mul__ takes, it gives the dict product,
+    # with int coefficients.
+    prod = a * b
+    assert prod.terms == _dict_product(a, b)
+    assert all(type(c) is int for c in prod.terms.values())
+
+
+@pytest.fixture(scope="module")
+def kron_only_for_int_qt():
+    """Makes a Kronecker product of anything but int q,t-terms an error."""
+    real = P._kron_mul
+
+    def guarded(a, b):
+        for terms in (a, b):
+            assert max(map(len, terms)) <= 2, "Kronecker product of x-variable terms"
+            assert all(type(c) is int for c in terms.values()), \
+                "Kronecker product of Fraction coefficients"
+        return real(a, b)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(P, "_kron_mul", guarded)
+    yield
+    mp.undo()
+
+
+@given(polys(max_terms=16, max_exp=3), polys(max_terms=16, max_exp=3))
+def test_fraction_and_x_operands_take_the_dict_route(kron_only_for_int_qt, a, b):
+    assert canonical(a * b) == canonical(naive_product(a, b))
+
+
+def test_fraction_and_x_operands_above_the_threshold_take_the_dict_route(kron_only_for_int_qt):
+    big = MultiPoly([((i, j), 1 + i + j) for i in range(12) for j in range(12)])
+    half = MultiPoly([((i, j), Fraction(1, 2 + i)) for i in range(12) for j in range(12)])
+    xs = big * MultiPoly.monomial((0, 0, 0, 0, 0, 1)) + ONE
+    assert len(big.terms) * len(half.terms) >= P.KRONECKER_MIN_PAIRS
+    assert canonical(big * half) == canonical(naive_product(big, half))
+    assert canonical(big * xs) == canonical(naive_product(big, xs))
+    assert P._use_kronecker(big.terms, big.terms, 2)
+    assert not P._use_kronecker(half.terms, big.terms, 2)
+    assert not P._use_kronecker(big.terms, xs.terms, 6)
+
+
+@given(int_qt_polys(), int_qt_polys(max_terms=6))
+def test_kronecker_quotient_inverts_the_product(a, b):
+    assume(not b.is_constant())
+    assert P._kron_quotient((a * b).terms, b.terms) == a.terms
+
+
+@given(int_qt_polys(max_terms=6), int_qt_polys(max_terms=6), int_qt_polys(max_terms=2, max_exp=1))
+def test_kronecker_quotient_refuses_a_non_divisor(a, b, r):
+    # As in the heap test above: r of lower total degree than b is no
+    # multiple of b, so b does not divide a*b + r.
+    assume(not b.is_constant() and r.degree() < b.degree())
+    assert P._kron_quotient((a * b + r).terms, b.terms) is None
+    with pytest.raises(ValueError):
+        (a * b + r).divexact(b)
+
+
+def test_kronecker_quotient_checks_the_quotient_it_reads_back():
+    # q does not divide t + q^2, but with t in the slot after q^2 the
+    # images X^3 + X^2 and X divide; the quotient read back, q^2 + q,
+    # fails the check by multiplying out.
+    a, g = T + Q ** 2, Q
+    assert P._kron_quotient(a.terms, g.terms) is None
+    big = (T + Q ** 2) * MultiPoly([((i, j), 1) for i in range(12) for j in range(12)])
+    with pytest.raises(ValueError):
+        big.divexact(Q * (ONE + T))
+
+
+def _monic(g):
+    _, lc = g.leading()
+    return g.divexact(MultiPoly.const(lc))
+
+
+def _check_heu_against_prs(a, b):
+    """GCDHEU on (a, b) gives the PRS gcd, and cofactors that multiply back."""
+    ia, ib = P._int_terms(a)[0], P._int_terms(b)[0]
+    got = P._heu_gcd(ia, ib)
+    assert got is not None
+    g, ca, cb = (MultiPoly._raw(t) for t in got)
+    assert _monic(g) == _monic(P._prs_gcd(a, b))
+    assert g * ca == MultiPoly._raw(ia) and g * cb == MultiPoly._raw(ib)
+
+
+@settings(max_examples=200)
+@given(int_qt_polys(max_terms=6, max_exp=4, coeffs=st.integers(-50, 50)),
+       int_qt_polys(max_terms=6, max_exp=4, coeffs=st.integers(-50, 50)),
+       int_qt_polys(max_terms=4, max_exp=3, coeffs=st.integers(-50, 50)))
+def test_heuristic_gcd_matches_prs(a, b, g):
+    a, b = a * g, b * g
+    assume(len(a.terms) > 1 and len(b.terms) > 1)
+    _check_heu_against_prs(a, b)
+
+
+def test_heuristic_gcd_matches_prs_on_unequal_heights():
+    # The evaluation point follows the smaller height, so the larger
+    # operand's cofactor does not fit its digits and is found by division.
+    a = MultiPoly([((1, 0), 1118179), ((2, 0), -385319)]) * (Q + T)
+    b = MultiPoly([((1, 0), 429870455086152), ((2, 1), 2831552630584961)]) * (Q + T)
+    _check_heu_against_prs(a, b)
+
+
+_BINOMIALS = [Q - T, ONE - Q, ONE - T, Q ** 2 - T, Q - T ** 2, ONE - Q * T,
+              Q ** 3 - T ** 2, T ** 3 - Q]
+
+
+@pytest.fixture(scope="module")
+def degree5():
+    from deltaops.macdonald import MacdonaldCache
+    cache = MacdonaldCache()
+    cache.degree(5)
+    return cache
+
+
+def test_heuristic_gcd_on_htilde_sized_operands(degree5):
+    # Products of H-tilde coefficients of degree 5 and the binomial factors
+    # of Macdonald denominators: 20-130 term operands with a shared factor.
+    rng = random.Random(11)
+    coeffs = [c.num for h in degree5.degree(5).values() for c in h.coeffs.values()
+              if len(c.num.terms) > 8]
+    for _ in range(12):
+        shared = rng.choice(_BINOMIALS) * rng.choice(_BINOMIALS)
+        a = rng.choice(coeffs) * rng.choice(_BINOMIALS) * shared
+        b = rng.choice(coeffs) * shared
+        _check_heu_against_prs(a, b)
+
+
+def test_heuristic_gcd_on_the_operator_gcd_pairs(degree5, monkeypatch):
+    # Every non-trivial gcd that Delta'_{e_k} e_5 (k = 0..4) asks for.
+    from deltaops import macdonald as M
+    from deltaops.symfunc import SymFunc
+    pairs = []
+    real = P.poly_gcd_qt
+
+    def record(a, b, cofactors=None):
+        pairs.append((a, b))
+        return real(a, b, cofactors)
+
+    monkeypatch.setattr(P, "poly_gcd_qt", record)
+    monkeypatch.setattr(M, "poly_gcd_qt", record)
+    hc = M.expand_in_htilde(SymFunc.e(5), degree5)
+    for k in range(5):
+        M.from_h_expansion(M.delta_h(SymFunc.e(k), hc, prime=True), degree5)
+    monkeypatch.undo()
+    hard = [(a, b) for a, b in pairs if len(a.terms) > 1 and len(b.terms) > 1
+            and not a.is_constant() and not b.is_constant()]
+    assert len(hard) >= 20
+    for a, b in hard:
+        _check_heu_against_prs(a, b)
+
+
+def test_gcd_falls_back_to_prs_when_the_heuristic_fails(monkeypatch):
+    a = (Q ** 2 - T) * (ONE + Q * T) * (Q - 2 * T)
+    b = (Q ** 2 - T) * (ONE - Q * T ** 2)
+    cof = []
+    want = poly_gcd_qt(a, b, cof)
+    monkeypatch.setattr(P, "_heu_gcd", lambda a, b: None)
+    cof2 = []
+    assert poly_gcd_qt(a, b, cof2) == want == Q ** 2 - T
+    assert cof2 == cof == [a.divexact(want), b.divexact(want)]
+
+
+@given(int_qt_polys(max_terms=5, max_exp=3, coeffs=st.integers(-9, 9)),
+       int_qt_polys(max_terms=5, max_exp=3, coeffs=st.integers(-9, 9)),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+def test_gcd_cofactors(a, b, s):
+    # Fraction coefficients are scaled to Z for the heuristic and back.
+    a = a * s
+    cof = []
+    g = poly_gcd_qt(a, b, cof)
+    assert g * cof[0] == a and g * cof[1] == b
