@@ -6,6 +6,14 @@ sum); route agreement is part of the verifier's check catalog.  The
 4-variable Catalan polynomials and the partially-labeled-path sums live
 here too.
 
+The z-routes visit one labeling per weak order of the labels: column
+strictness, the dinv pairs and the contractible valleys compare labels only
+by < and >, so such labelings share their q, t and z powers.  Each class
+holds one packed word (its values are exactly 1..m) of content b, and the
+x-monomials of the class sum to M_b(x_1..x_N), the monomial quasisymmetric
+function (Haglund, The q,t-Catalan Numbers and the Space of Diagonal
+Harmonics, ch. 6).
+
 All accumulation happens in raw {exponent-tuple: int} dicts and is wrapped
 into MultiPoly at the end; every exponent stays nonnegative by the
 supporting combinatorial arguments, which we assert.
@@ -20,12 +28,7 @@ from math import comb
 
 from .partitions import sort_to_partition
 from .poly import MultiPoly, RatFunc, qtint
-from .symfunc import (
-    SymFunc,
-    expand_basis_elem,
-    from_expansion,
-    plethysm,
-)
+from .symfunc import SymFunc, expand_basis_elem, from_expansion, plethysm
 from . import paths as P
 
 
@@ -75,68 +78,101 @@ def _pair_openers(a: tuple) -> list:
     return rel
 
 
-def _dinv_content_agg(a: tuple, N: int) -> dict:
-    """{(dinv, content key): count of labelings} via incremental recursion."""
+def _packed_rec(i: int, dv: int, top: int, gaps: int, w: tuple) -> None:
+    """Label row i, then recurse; top is the largest value so far and gaps
+    the values below it not yet used."""
+    n, cap, rel, strict, vrows, labels, content, agg = w
+    if i == n:
+        offs = []
+        for j, sure, closers in vrows:
+            lj = labels[j]
+            if sure or lj > labels[j - 1]:
+                d = 1
+                for r, primary in closers:
+                    if (lj < labels[r]) if primary else (lj > labels[r]):
+                        d += 1
+                offs.append(d)
+        key = (tuple(offs), dv, tuple(content[1:top + 1]))
+        agg[key] = agg.get(key, 0) + 1
+        return
+    rest = n - i - 1
+    lo = labels[i - 1] + 1 if strict[i] else 1
+    reli = rel[i]
+    # The rows after this one must fill every gap.
+    for v in range(lo, min(cap, top + rest + 1 - gaps) + 1):
+        if v > top:
+            ntop, ngaps = v, gaps + v - top - 1
+        elif content[v]:
+            if gaps > rest:
+                continue
+            ntop, ngaps = top, gaps
+        else:
+            ntop, ngaps = top, gaps - 1
+        add = 0
+        for j, primary in reli:
+            if (labels[j] < v) if primary else (labels[j] > v):
+                add += 1
+        labels[i] = v
+        content[v] += 1
+        _packed_rec(i + 1, dv + add, ntop, ngaps, w)
+        content[v] -= 1
+
+
+def _packed_agg(a: tuple, N: int, valley: bool) -> dict:
+    """{(valley z offsets, dinv, b): count} over the packed words of path a
+    with at most N values, b their content; the offsets are () unless valley.
+    A contractible valley's offset is 1 + the dinv pairs its row opens."""
     n = len(a)
     rel = _pair_openers(a)
+    vrows = [(j, a[j] < a[j - 1], [(r, p) for r in range(j + 1, n) for i, p in rel[r] if i == j])
+             for j in range(1, n) if valley and a[j] <= a[j - 1]]
     strict = [bool(i and a[i] == a[i - 1] + 1) for i in range(n)]
-    labels = [0] * n
-    content = [0] * N
     agg: dict = {}
-
-    def rec(i: int, dv: int) -> None:
-        if i == n:
-            m = N
-            while m and content[m - 1] == 0:
-                m -= 1
-            key = (dv, tuple(content[:m]))
-            agg[key] = agg.get(key, 0) + 1
-            return
-        lo = labels[i - 1] + 1 if strict[i] else 1
-        reli = rel[i]
-        for v in range(lo, N + 1):
-            add = 0
-            for j, primary in reli:
-                lj = labels[j]
-                if (lj < v) if primary else (lj > v):
-                    add += 1
-            labels[i] = v
-            content[v - 1] += 1
-            rec(i + 1, dv + add)
-            content[v - 1] -= 1
-
-    rec(0, 0)
+    _packed_rec(0, 0, 0, 0, (n, min(n, N), rel, strict, vrows, [0] * n, [0] * (n + 1), agg))
     return agg
 
 
-def _zroute_accumulate(n: int, N: int, offsets_for, area_for) -> dict:
-    """Shared z-route sweep: label-independent z offsets per path."""
-    acc: dict = {k: {} for k in range(n)}
+@lru_cache(maxsize=None)
+def _m_contents(b: tuple, N: int) -> tuple:
+    """The x-exponent keys of M_b(x_1..x_N), one per len(b)-subset of [N]."""
+    out = []
+    for cols in itertools.combinations(range(N), len(b)):
+        exps = [0] * (cols[-1] + 1)
+        for col, part in zip(cols, b):
+            exps[col] = part
+        out.append(tuple(exps))
+    return tuple(out)
+
+
+def _zroute_accumulate(n: int, N: int, offsets_for, area_for, valley: bool = False) -> dict:
+    """Shared z-route sweep.  Rise z offsets come per path (None skips it)
+    and lower t; valley offsets come per packed word and lower q."""
+    acc: dict = {}
     for a in P.dyck_paths(n):
         offs = offsets_for(a)
         if offs is None:
             continue
-        dp = _subset_dp(offs)
         ar = area_for(a)
-        flat = []
-        for j, bag in enumerate(dp):
-            k = n - j - 1
-            if k < 0:
-                continue
-            for off, cnt in bag.items():
-                assert ar - off >= 0
-                flat.append((k, ar - off, cnt))
-        for (dv, xk), cnt in _dinv_content_agg(a, N).items():
-            for k, tpow, c in flat:
-                bucket = acc[k]
-                key = (dv, tpow, 0, 0, 0) + xk
-                bucket[key] = bucket.get(key, 0) + cnt * c
-    return {k: MultiPoly(v) for k, v in acc.items()}
+        flats: dict = {}
+        for (voffs, dv, b), cnt in _packed_agg(a, N, valley).items():
+            if voffs not in flats:
+                flats[voffs] = [(n - j - 1, off, c) for j, bag in
+                                enumerate(_subset_dp(voffs or offs)) for off, c in bag.items()]
+            for k, off, c in flats[voffs]:
+                assert (dv if valley else ar) - off >= 0
+                key = (k, dv - off, ar, b) if valley else (k, dv, ar - off, b)
+                acc[key] = acc.get(key, 0) + cnt * c
+    out: dict = {k: {} for k in range(n)}
+    for (k, qp, tp, b), c in acc.items():
+        for xk in _m_contents(b, N):
+            out[k][(qp, tp, 0, 0, 0) + xk] = c
+    # Keys end in a part of b, counts are positive: no normalizing.
+    return {k: MultiPoly._raw(v) for k, v in out.items()}
 
 
 @lru_cache(maxsize=None)
 def _rise_all(n: int, N: int, min_rises: int = 0) -> dict:
-    """{k: polynomial} for the z-route of rise_gf, one labeling pass."""
+    """{k: polynomial}: the z-route of rise_gf."""
 
     def offsets(a):
         rises = P.rise_rows(a)
@@ -160,66 +196,8 @@ def _rise_fall_all(n: int, N: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _val_all(n: int, N: int) -> dict:
-    """z-route of val_gf (identical to the valley-decorated sum).
-
-    Valley offsets depend on the labels, so the d-vector rides through the
-    recursion and the subset DP runs per labeling.
-    """
-    acc: dict = {k: {} for k in range(n)}
-    for a in P.dyck_paths(n):
-        n_ = len(a)
-        ar = P.area(a)
-        rel = _pair_openers(a)
-        strict = [bool(i and a[i] == a[i - 1] + 1) for i in range(n_)]
-        flat_valley = [bool(i and a[i] < a[i - 1]) for i in range(n_)]
-        eq_prev = [bool(i and a[i] == a[i - 1]) for i in range(n_)]
-        labels = [0] * n_
-        content = [0] * N
-        dvec = [0] * n_
-        agg: dict = {}
-
-        def rec(i: int) -> None:
-            if i == n_:
-                m = N
-                while m and content[m - 1] == 0:
-                    m -= 1
-                xk = tuple(content[:m])
-                offs = tuple(
-                    dvec[j - 1] + 1 for j in range(1, n_ + 1)
-                    if (flat_valley[j - 1]
-                        or (eq_prev[j - 1] and labels[j - 1] > labels[j - 2]))
-                )
-                key = (offs, sum(dvec), xk)
-                agg[key] = agg.get(key, 0) + 1
-                return
-            lo = labels[i - 1] + 1 if strict[i] else 1
-            reli = rel[i]
-            for v in range(lo, N + 1):
-                touched = []
-                for j, primary in reli:
-                    if (labels[j] < v) if primary else (labels[j] > v):
-                        dvec[j] += 1
-                        touched.append(j)
-                labels[i] = v
-                content[v - 1] += 1
-                rec(i + 1)
-                content[v - 1] -= 1
-                for j in touched:
-                    dvec[j] -= 1
-
-        rec(0)
-        for (offs, dv, xk), count in agg.items():
-            dp = _subset_dp(list(offs))
-            for j, bag in enumerate(dp):
-                k = n_ - j - 1
-                if k < 0:
-                    continue
-                bucket = acc[k]
-                for off, cnt in bag.items():
-                    assert dv - off >= 0
-                    key = (dv - off, ar, 0, 0, 0) + xk
-                    bucket[key] = bucket.get(key, 0) + cnt * count
-    return {k: MultiPoly(v) for k, v in acc.items()}
+    """z-route of val_gf (identical to the valley-decorated sum)."""
+    return _zroute_accumulate(n, N, lambda a: (), P.area, valley=True)
 
 
 @lru_cache(maxsize=None)
@@ -411,8 +389,7 @@ def yamanouchi_schur(diag: tuple, a: tuple, N: int | None = None) -> dict:
         word = sp.reading_word()
         if not is_yamanouchi(word):
             continue
-        lam = sort_to_partition(_xkey(labels) + (0,) * 0)
-        lam = tuple(p for p in lam if p)
+        lam = tuple(p for p in sort_to_partition(_xkey(labels)) if p)
         bucket = out.setdefault(lam, {})
         key = (sp.hdinv(),)
         bucket[key] = bucket.get(key, 0) + 1
@@ -509,13 +486,13 @@ def _catmod_comp_all(n: int) -> dict:
     for a in P.dyck_paths(n):
         touches = [i for i in range(1, n + 1) if a[i - 1] == 0]
         bounds = touches + [n + 1]
-        dvec = P.d_vector(a)
-        dv = sum(dvec)
+        dv = sum(P.d_vector(a))
         ar = P.area(a)
         _, b = reading_b_vector(a)
         zdp = _subset_dp([b[m] for m in range(1, n) if b[m] > b[m - 1]])
         rises = P.rise_rows(a)
-        for stars in _all_subsets(rises):
+        subsets = (itertools.combinations(rises, r) for r in range(len(rises) + 1))
+        for stars in itertools.chain(*subsets):
             alpha = []
             for ji in range(len(touches)):
                 lo, hi = bounds[ji], bounds[ji + 1]
@@ -528,12 +505,6 @@ def _catmod_comp_all(n: int) -> dict:
                     key = (dv - zoff, ar - toff, zd)
                     acc[key] = acc.get(key, 0) + zc
     return out
-
-
-def _all_subsets(items):
-    items = tuple(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 def catmod4_comp(n: int, alpha: tuple) -> MultiPoly:

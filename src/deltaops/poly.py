@@ -912,24 +912,28 @@ def _lift(image: dict, var: int, xi: int) -> dict:
     return out
 
 
-def _heu_gcd(a: dict, b: dict, var: int = 1):
+def _heu_gcd(a: dict, b: dict, var: int = 1, outer: int = 0):
     """(g, a/g, b/g) for the gcd g in Z[q,t] of nonzero q,t-terms a and b
     with int coefficients, or None when GCDHEU found no gcd.
 
     Sets variable var (1 for t, then 0 for q) to xi, takes the gcd of the
     images (one variable fewer, or integers), and lifts it and the image
-    cofactors back from their digits.
+    cofactors back from their digits; outer is the t-point (0 at the top).
     """
     ka, kb = _content(a.values()), _content(b.values())
     c = int_gcd(ka, kb)
     pa = {k: v // ka for k, v in a.items()}
     pb = {k: v // kb for k, v in b.items()}
     xi = _first_point(pa.values(), pb.values())
+    # If xi = outer = 0 (or 1) mod p, p divides the image of every polynomial
+    # vanishing at q = t = 0 (or 1): a spurious factor that spoils the lift.
+    while outer and (int_gcd(xi, outer) > 1 or int_gcd(xi - 1, outer - 1) > 1):
+        xi += 1
     for _ in range(HEU_TRIES):
         ea, eb = _evaluate(pa, var, xi), _evaluate(pb, var, xi)
         got = None
         if ea and eb and var:
-            got = _heu_gcd(ea, eb, var - 1)
+            got = _heu_gcd(ea, eb, var - 1, xi)
         elif ea and eb:
             h = int_gcd(ea[()], eb[()])
             got = {(): h}, {(): ea[()] // h}, {(): eb[()] // h}

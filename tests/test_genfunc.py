@@ -1,12 +1,20 @@
 """Generating functions: rise/valley forms, Catalan polynomials, partial paths."""
 
+import gc
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
 
 import deltaops.paths as P
 from deltaops.genfunc import (
+    _m_contents,
+    _pair_openers,
+    _rise_all,
+    _rise_fall_all,
+    _subset_dp,
+    _val_all,
     cat4,
     cat4_touch,
     catmod4,
@@ -30,7 +38,14 @@ from deltaops.genfunc import (
 )
 from deltaops.partitions import partitions
 from deltaops.poly import MultiPoly, ONE, Q, RatFunc, T, W, Z
-from deltaops.symfunc import SymFunc, convert, expand_vars, from_expansion, qsym_coeff
+from deltaops.symfunc import (
+    SymFunc,
+    convert,
+    expand_basis_elem,
+    expand_vars,
+    from_expansion,
+    qsym_coeff,
+)
 
 
 def test_rise_examples():
@@ -51,6 +66,108 @@ def test_route_agreement():
             assert v == val_gf(n, k, n, route="stack")
             assert v == val_gf(n, k, n, route="dense")
             assert z.subs({"q": 1}) == v.subs({"q": 1})
+
+
+def _full_word_agg(a: tuple, N: int) -> dict:
+    """{(valley z offsets, dinv, content key): count} over every column-strict
+    labeling of path a in {1..N}^n: the sweep that packed words replaced."""
+    n = len(a)
+    rel = _pair_openers(a)
+    strict = [bool(i and a[i] == a[i - 1] + 1) for i in range(n)]
+    labels, content, dvec = [0] * n, [0] * N, [0] * n
+    agg: dict = {}
+
+    def rec(i: int) -> None:
+        if i == n:
+            m = N
+            while m and content[m - 1] == 0:
+                m -= 1
+            offs = tuple(dvec[j] + 1 for j in range(1, n)
+                         if a[j] < a[j - 1] or (a[j] == a[j - 1] and labels[j] > labels[j - 1]))
+            key = (offs, sum(dvec), tuple(content[:m]))
+            agg[key] = agg.get(key, 0) + 1
+            return
+        for v in range(labels[i - 1] + 1 if strict[i] else 1, N + 1):
+            touched = [j for j, primary in rel[i]
+                       if ((labels[j] < v) if primary else (labels[j] > v))]
+            for j in touched:
+                dvec[j] += 1
+            labels[i] = v
+            content[v - 1] += 1
+            rec(i + 1)
+            content[v - 1] -= 1
+            for j in touched:
+                dvec[j] -= 1
+
+    rec(0)
+    return agg
+
+
+def _full_word_routes(n: int, N: int) -> dict:
+    """{route: [polynomial for k = 0..n-1]} for the rise ("z"), fall and
+    valley z-routes, summed over full words."""
+    acc: dict = {route: [{} for _ in range(n)] for route in ("z", "fall", "val")}
+    for a in P.dyck_paths(n):
+        cols = P.col_areas(a)
+        fixed = {"z": (P.area(a), [a[i - 1] for i in P.rise_rows(a)]),
+                 "fall": (sum(cols), [cols[j - 1] for j in P.fall_cols(a)])}
+        for (voffs, dv, xk), cnt in _full_word_agg(a, N).items():
+            for route, (ar, offs) in fixed.items():
+                for j, bag in enumerate(_subset_dp(offs)):
+                    for off, c in bag.items():
+                        key = (dv, ar - off, 0, 0, 0) + xk
+                        bucket = acc[route][n - j - 1]
+                        bucket[key] = bucket.get(key, 0) + cnt * c
+            for j, bag in enumerate(_subset_dp(voffs)):
+                for off, c in bag.items():
+                    key = (dv - off, P.area(a), 0, 0, 0) + xk
+                    bucket = acc["val"][n - j - 1]
+                    bucket[key] = bucket.get(key, 0) + cnt * c
+    return {route: [MultiPoly(d) for d in polys] for route, polys in acc.items()}
+
+
+@pytest.mark.parametrize("n, Ns", [(n, range(1, n + 3)) for n in range(1, 6)] + [(6, (2, 3))])
+def test_packed_words_match_full_words(n, Ns):
+    for N in Ns:
+        ref = _full_word_routes(n, N)
+        for k in range(n):
+            assert rise_gf(n, k, N) == ref["z"][k]
+            assert rise_gf(n, k, N, route="fall") == ref["fall"][k]
+            assert val_gf(n, k, N) == ref["val"][k]
+
+
+def test_m_contents_sum_to_monomial_symmetric():
+    for n in range(1, 7):
+        for lam in partitions(n):
+            for N in range(1, n + 2):
+                got: dict = {}
+                for b in set(permutations(lam)):
+                    for xk in _m_contents(b, N):
+                        key = (0, 0, 0, 0, 0) + xk
+                        assert key not in got
+                        got[key] = 1
+                assert MultiPoly(got) == expand_basis_elem("m", lam, N)
+
+
+def test_near_staircase_shortcut():
+    # From n = 8 on, rise_gf sweeps only the paths with at least n - k - 1
+    # rises.  For k = 1 those have at most two vertical runs, so at least
+    # 4 values; for k = 0 only the staircase, with all 8, is left.
+    part = rise_gf(8, 1, 4)
+    assert not part.is_zero() and part == _rise_all(8, 4)[1]
+    assert rise_gf(8, 0, 8) == expand_vars(SymFunc.s((1,) * 8), 8)
+
+
+def test_sweeps_leave_no_garbage_cycles():
+    P.dyck_paths(5)
+    gc.collect()
+    gc.disable()
+    try:
+        for sweep in (_rise_all, _rise_fall_all, _val_all):
+            sweep.__wrapped__(5, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_qt1_shortcut_matches_brute():

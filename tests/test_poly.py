@@ -408,6 +408,24 @@ def test_heuristic_gcd_matches_prs_on_unequal_heights():
     _check_heu_against_prs(a, b)
 
 
+def test_heuristic_gcd_inner_point_is_coprime_to_outer(monkeypatch):
+    # Both operands vanish at q = t = 0.  At t = 32 the heights give q = 94;
+    # both even, so every image is even and the lift fails until a point
+    # coprime to 32 (and, less 1, to 31) is used.  That point comes first.
+    points = []
+    evaluate = P._evaluate
+
+    def spy(terms, var, xi):
+        points.append((var, xi))
+        return evaluate(terms, var, xi)
+
+    monkeypatch.setattr(P, "_evaluate", spy)
+    a = (T - ONE) * (Q - ONE) * (Q ** 2 - T)
+    b = (T - ONE) * (ONE + Q + T) * (Q - T)
+    _check_heu_against_prs(a, b)
+    assert sorted(set(points)) == [(0, 95), (1, 32)]
+
+
 _BINOMIALS = [Q - T, ONE - Q, ONE - T, Q ** 2 - T, Q - T ** 2, ONE - Q * T,
               Q ** 3 - T ** 2, T ** 3 - Q]
 
